@@ -22,6 +22,7 @@ from .cantor import (
     format_cantor,
     gap_intervals,
     interval_left_endpoints,
+    interval_numerators,
     make_cantor,
     parse_cantor,
     phi_full,

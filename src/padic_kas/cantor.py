@@ -14,7 +14,6 @@ All digit vectors are exact; rationals appear only at output boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple, Sequence
 
 from .core import TruncatedPadicInt, is_prime
@@ -37,6 +36,7 @@ __all__ = [
     "extract",
     "phi_full",
     "cantor_to_rational",
+    "interval_numerators",
     "interval_left_endpoints",
     "gap_intervals",
     "format_cantor",
@@ -167,46 +167,50 @@ def cantor_to_rational(c: CantorValue) -> Fraction:
     return Fraction(acc, q**c.L)
 
 
-def interval_left_endpoints(p: int, n: int, L: int) -> list:
-    """Left endpoints of all level-L codec intervals, in increasing order.
-
-    There are p**L intervals, each of width q**(-L); enumeration order of the
-    allowed digit tuples (lexicographic) coincides with numeric order.
-    """
+def _check_level(p: int, n: int, L: int) -> None:
     if not is_prime(p):
         raise NonPrimeModulus(f"modulus {p} is not prime")
     if n < 1:
         raise ArityMismatch(f"arity must be >= 1, got {n}")
     if L < 1:
         raise ValueError(f"level must be >= 1, got {L}")
+
+
+def interval_numerators(p: int, n: int, L: int) -> list:
+    """Numerators over q**L of the level-L interval left endpoints, increasing.
+
+    There are p**L intervals, each of width q**(-L); the numerators are the
+    base-q numerals of L digits that are all multiples of n, and their
+    lexicographic order is their numeric order.
+    """
+    _check_level(p, n, L)
     q = n * (p - 1) + 1
-    allowed = range(0, n * (p - 1) + 1, n)
-    denom = q**L
-    lefts = []
-    for key in product(allowed, repeat=L):
-        acc = 0
-        for d in key:
-            acc = acc * q + d
-        lefts.append(Fraction(acc, denom))
-    return lefts
+    nums = [0]
+    for _ in range(L):
+        nums = [m * q + d for m in nums for d in range(0, q, n)]
+    return nums
+
+
+def interval_left_endpoints(p: int, n: int, L: int) -> list:
+    """Left endpoints of all level-L codec intervals, in increasing order."""
+    nums = interval_numerators(p, n, L)
+    denom = (n * (p - 1) + 1) ** L
+    return [Fraction(m, denom) for m in nums]
 
 
 def gap_intervals(p: int, n: int, L: int) -> list:
     """Complementary open intervals of the level-L codec image inside [0,1].
 
-    Returned in increasing order.  For n=1 every base-q digit is allowed and
-    the intervals tile [0,1], so there are no gaps.
+    Returned in increasing order; gap i lies between intervals i and i+1.
+    For n=1 every base-q digit is allowed and the intervals tile [0,1], so
+    there are no gaps.
     """
     if n == 1:
-        if not is_prime(p):
-            raise NonPrimeModulus(f"modulus {p} is not prime")
-        if L < 1:
-            raise ValueError(f"level must be >= 1, got {L}")
+        _check_level(p, n, L)
         return []
-    lefts = interval_left_endpoints(p, n, L)
-    q = n * (p - 1) + 1
-    width = Fraction(1, q**L)
-    return [(lefts[i] + width, lefts[i + 1]) for i in range(len(lefts) - 1)]
+    nums = interval_numerators(p, n, L)
+    denom = (n * (p - 1) + 1) ** L
+    return [(Fraction(a + 1, denom), Fraction(b, denom)) for a, b in zip(nums, nums[1:])]
 
 
 def format_cantor(c: CantorValue) -> str:

@@ -21,7 +21,7 @@ from .cantor import (
     phi_full,
 )
 from .core import format_padic, make_point, parse_padic
-from .errors import InvalidCantorDigit, PadicKasError
+from .errors import ConfigError, InvalidCantorDigit, PadicKasError
 from .interleave import deinterleave, interleave, make_interleaved
 from .superposition import (
     PADIC,
@@ -41,6 +41,14 @@ SEED_ENV_VAR = "PADIC_KAS_SEED"
 
 def _rational(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
+
+
+def _parse_padic_at(text, p):
+    """Parse a p-adic literal whose modulus must be the --p flag's."""
+    x = parse_padic(text)
+    if x.p != p:
+        raise ConfigError(f"literal {text!r} has p={x.p}, but --p is {p}")
+    return x
 
 
 def _add_pn(sub, K=False):
@@ -132,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_encode(args):
     from .cantor import cantor_encode
 
-    x = parse_padic(args.x)
+    x = _parse_padic_at(args.x, args.p)
     c = cantor_encode(x, args.n)
     print(format_cantor(c))
     print(_rational(cantor_to_rational(c)))
@@ -146,7 +154,7 @@ def _cmd_decode(args):
 
 
 def _cmd_phi(args):
-    x = parse_padic(args.x)
+    x = _parse_padic_at(args.x, args.p)
     c = phi_full(x, args.n)
     print(format_cantor(c))
     print(_rational(cantor_to_rational(c)))
@@ -167,7 +175,7 @@ def _cmd_psi(args):
 
 
 def _cmd_interleave(args):
-    coords = [parse_padic(text) for text in args.coord]
+    coords = [_parse_padic_at(text, args.p) for text in args.coord]
     X = make_point(coords)
     z = interleave(X)
     print(format_padic(z.value))
@@ -175,7 +183,7 @@ def _cmd_interleave(args):
 
 
 def _cmd_deinterleave(args):
-    value = parse_padic(args.z)
+    value = _parse_padic_at(args.z, args.p)
     z = make_interleaved(value, args.n)
     X = deinterleave(z)
     for c in X.coords:

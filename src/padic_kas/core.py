@@ -36,20 +36,40 @@ __all__ = [
 ]
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every p below PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 @lru_cache(maxsize=None)
 def is_prime(p: int) -> bool:
-    """Trial-division primality test; moduli here are desk-scale."""
+    """Deterministic Miller-Rabin test.
+
+    Raises:
+        NonPrimeModulus: p >= PRIME_BOUND, where the test is not exact.
+    """
+    if p >= PRIME_BOUND:
+        raise NonPrimeModulus(f"modulus {p} is too large: primality is decided below {PRIME_BOUND}")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

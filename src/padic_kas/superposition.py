@@ -17,13 +17,12 @@ Both identities are exact at precision K for every input, never approximate.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from typing import Mapping, Union
 
-from .cantor import CantorValue, cantor_to_rational
+from .cantor import gap_intervals
 from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add, padic_norm
 from .errors import (
     CodomainMismatch,
@@ -100,14 +99,7 @@ class CylinderFunction:
         )
 
     def __call__(self, X: PadicPoint) -> TableValue:
-        if X.n != self.n:
-            raise DimensionMismatch(f"point has n={X.n}, function expects {self.n}")
-        for c in X.coords:
-            if c.p != self.p or c.K != self.K:
-                raise PrecisionMismatch(
-                    f"coordinate ({c.p}, K={c.K}) does not match "
-                    f"({self.p}, K={self.K})"
-                )
+        _check_point(X, self)
         return self._fn(X)
 
     @classmethod
@@ -171,6 +163,15 @@ class CylinderFunction:
         return CylinderFunction(
             self.p, self.n, K_new, self.codomain, fn, f"{self.name}@K{K_new}"
         )
+
+
+def _check_point(X, F):
+    """Raise unless X has the arity of F and coordinates at F's p and K."""
+    if X.n != F.n:
+        raise DimensionMismatch(f"point has n={X.n}, expected {F.n}")
+    for c in X.coords:
+        if c.p != F.p or c.K != F.K:
+            raise PrecisionMismatch(f"coordinate ({c.p}, K={c.K}) does not match ({F.p}, K={F.K})")
 
 
 def _check_key(key, p, n, K):
@@ -240,113 +241,113 @@ def _resolve_builtin(name, p, n, K, codomain):
 class GFunction:
     """The univariate representative of a real-valued cylinder function.
 
-    Holds the exact value table over all p**L valid level-L digit prefixes
-    (L = n*K) and the linear gap rule that extends it to a continuous
-    function on [0,1].
+    ``values[i]`` is f on the i-th level-L codec interval (L = n*K) from the
+    left.  Write i with L base-p digits, most significant first: the
+    interval's base-q digits are n times these, and coordinate k of its point
+    takes the digits at positions k, k+n, ...  Gap i lies between intervals i
+    and i+1 and blends their values linearly.
     """
 
-    __slots__ = ("p", "n", "K", "q", "L", "width", "table", "_lefts", "_values", "_gaps", "_gap_lefts")
+    __slots__ = ("p", "n", "K", "values")
 
-    def __init__(self, p, n, K, q, L, width, table, lefts, values, gaps):
+    def __init__(self, p, n, K, values):
         self.p = p
         self.n = n
         self.K = K
-        self.q = q
-        self.L = L
-        self.width = width
-        self.table = table
-        self._lefts = lefts
-        self._values = values
-        self._gaps = gaps
-        self._gap_lefts = [g[0] for g in gaps]
+        self.values = values
 
     def __repr__(self):
-        return f"GFunction(p={self.p}, n={self.n}, K={self.K}, intervals={len(self.table)})"
+        return f"GFunction(p={self.p}, n={self.n}, K={self.K}, intervals={len(self.values)})"
+
+    @property
+    def q(self) -> int:
+        return self.n * (self.p - 1) + 1
+
+    @property
+    def L(self) -> int:
+        return self.n * self.K
+
+    @property
+    def width(self) -> Fraction:
+        return Fraction(1, self.q**self.L)
+
+    @property
+    def table(self) -> dict:
+        """Interval values keyed by the interval's base-q digits, in increasing order."""
+        return dict(zip(product(range(0, self.q, self.n), repeat=self.L), self.values))
 
     def gaps(self):
         """List of (a, b, value_at_a, value_at_b) for every complementary gap."""
-        return list(self._gaps)
+        v = self.values
+        gaps = gap_intervals(self.p, self.n, self.L)
+        return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
+
+
+def _points_in_order(p, n, K):
+    """(zdig, X) for every point of (Z/p^K)^n; coordinate k is ``zdig[k::n]``."""
+    for zdig in product(range(p), repeat=n * K):
+        yield zdig, PadicPoint(n, tuple(TruncatedPadicInt(p, K, zdig[k::n]) for k in range(n)))
 
 
 def build_g(f: CylinderFunction) -> GFunction:
-    """Tabulate f over every packed digit prefix and attach the gap rule.
-
-    The table key for input (x_1..x_n) is the interleaved base-q digit
-    vector whose position n*j+i carries n * (x_{i+1})_j; its left endpoint
-    is the packed value at which :func:`superpose1` will evaluate.
-    """
+    """Tabulate f on every level-nK codec interval, in increasing order."""
     if f.codomain != REAL:
         raise CodomainMismatch(f"build_g needs a real-valued function, got {f.codomain!r}")
-    p, n, K = f.p, f.n, f.K
-    q = n * (p - 1) + 1
-    L = n * K
-    allowed = tuple(range(0, n * (p - 1) + 1, n))
-    denom = q**L
-    width = Fraction(1, denom)
-    table = {}
-    lefts = []
-    values = []
-    for key in product(allowed, repeat=L):
-        coords = tuple(
-            TruncatedPadicInt(p, K, tuple(d // n for d in key[k::n])) for k in range(n)
-        )
-        value = float(f(PadicPoint(n, coords)))
-        acc = 0
-        for d in key:
-            acc = acc * q + d
-        table[key] = value
-        lefts.append(Fraction(acc, denom))
-        values.append(value)
-    gaps = []
-    for i in range(len(lefts) - 1):
-        a = lefts[i] + width
-        b = lefts[i + 1]
-        if a < b:
-            gaps.append((a, b, values[i], values[i + 1]))
-    return GFunction(p, n, K, q, L, width, table, lefts, values, gaps)
+    values = [float(f(X)) for _, X in _points_in_order(f.p, f.n, f.K)]
+    return GFunction(f.p, f.n, f.K, values)
 
 
 def eval_g(G: GFunction, t) -> float:
     """Evaluate the extended function at a rational t in [0,1].
 
-    Inside a level-L codec interval the stored table value is returned
-    unchanged; strictly inside a gap the two neighbouring values are
-    interpolated linearly, with the blend computed in exact rational
-    arithmetic and rounded to float once.
+    The base-q digits of t * q**L are read from the top.  If all are
+    multiples of n, t lies in the closed interval they number (the right one
+    where two meet, n = 1) and its value is returned unchanged.  The first
+    other digit puts t in a gap: its left end keeps the left interval's
+    value, and inside it the neighbours are blended linearly in exact
+    rational arithmetic, rounded to float once.
     """
     t = Fraction(t)
     if t < 0 or t > 1:
         raise DomainViolation(f"{t} is outside [0, 1]")
-    gi = bisect_right(G._gap_lefts, t) - 1
-    if gi >= 0:
-        a, b, va, vb = G._gaps[gi]
-        if a < t < b:
-            theta = (t - a) / (b - a)
+    p, n, q, L, values = G.p, G.n, G.q, G.L, G.values
+    scale = q**L
+    m, r = divmod(t.numerator * scale, t.denominator)
+    if m == scale:
+        return values[-1]
+    i = 0
+    for rest in range(L - 1, -1, -1):
+        scale //= q
+        d, m = divmod(m, scale)
+        j, off = divmod(d, n)
+        if off:
+            # In units of q**-L, gap gi is (n - 1)*scale wide and t lies
+            # offset + r/den above its left end.
+            gi = (i * p + j + 1) * p**rest - 1
+            offset = (off - 1) * scale + m
+            if not offset and not r:
+                return values[gi]
+            va, vb = values[gi], values[gi + 1]
+            den = t.denominator
+            theta = Fraction(offset * den + r, (n - 1) * scale * den)
             return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
-    j = bisect_right(G._lefts, t) - 1
-    if j < 0 or t > G._lefts[j] + G.width:
-        raise DomainViolation(f"{t} lies in no interval and no gap")  # unreachable
-    return G._values[j]
+        i = i * p + j
+    return values[i]
 
 
 def superpose1(G: GFunction, X: PadicPoint) -> float:
-    """Pack X into one Cantor-set value and evaluate the representative.
+    """The representative at the packed value of X, which reproduces f(X) exactly.
 
-    The packed value s places n * (x_{i+1})_j at base-q position n*j+i,
-    i.e. coordinate i+1 enters with weight q**(-i).  Exactly reproduces the
-    originating f(X) for every X.
+    The packed value places n * (x_{k+1})_j at base-q position n*j+k, so it
+    lies in the interval whose index has base-p digit (x_{k+1})_j there.
     """
-    if X.n != G.n:
-        raise DimensionMismatch(f"point has n={X.n}, expected {G.n}")
-    for c in X.coords:
-        if c.p != G.p or c.K != G.K:
-            raise PrecisionMismatch(
-                f"coordinate ({c.p}, K={c.K}) does not match ({G.p}, K={G.K})"
-            )
-    n = G.n
-    key = tuple(n * X.coords[i].digits[j] for j in range(G.K) for i in range(n))
-    s = CantorValue(G.p, n, key)
-    return eval_g(G, cantor_to_rational(s))
+    _check_point(X, G)
+    p = G.p
+    i = 0
+    for column in zip(*(c.digits for c in X.coords)):
+        for d in column:
+            i = i * p + d
+    return G.values[i]
 
 
 class HFunction:
@@ -386,9 +387,8 @@ def build_h(f: CylinderFunction, weights: str = WEIGHTS_PROOF) -> HFunction:
         raise ConfigError(f"unknown weight convention {weights!r}")
     p, n, K = f.p, f.n, f.K
     table = {}
-    for zdig in product(range(p), repeat=n * K):
-        coords = tuple(TruncatedPadicInt(p, K, zdig[k::n]) for k in range(n))
-        value = f(PadicPoint(n, coords))
+    for zdig, X in _points_in_order(p, n, K):
+        value = f(X)
         if not isinstance(value, TruncatedPadicInt):
             raise CodomainMismatch(
                 f"p-adic function returned {type(value).__name__}, expected TruncatedPadicInt"
@@ -418,13 +418,7 @@ def format_key(digits) -> str:
 
 def superpose2(H: HFunction, X: PadicPoint) -> PadicScalar:
     """Interleave X into one variable and look the value up; exact at level K."""
-    if X.n != H.n:
-        raise DimensionMismatch(f"point has n={X.n}, expected {H.n}")
-    for c in X.coords:
-        if c.p != H.p or c.K != H.K:
-            raise PrecisionMismatch(
-                f"coordinate ({c.p}, K={c.K}) does not match ({H.p}, K={H.K})"
-            )
+    _check_point(X, H)
     z = interleave(X)
     key = z.value.digits
     if H.weights == WEIGHTS_PAPER:

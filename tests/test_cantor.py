@@ -21,6 +21,7 @@ from padic_kas import (
     format_cantor,
     gap_intervals,
     interval_left_endpoints,
+    interval_numerators,
     make_cantor,
     make_padic,
     padic_from_int,
@@ -251,6 +252,16 @@ class TestGaps:
     def test_rejects_nonprime(self):
         with pytest.raises(NonPrimeModulus):
             gap_intervals(4, 2, 1)
+        with pytest.raises(NonPrimeModulus):
+            gap_intervals(4, 1, 1)
+
+    @pytest.mark.parametrize("p,n,L", [(2, 1, 4), (2, 2, 4), (3, 2, 3), (5, 3, 2)])
+    def test_numerators_are_the_allowed_numerals_in_order(self, p, n, L):
+        q = n * (p - 1) + 1
+        allowed = range(0, n * (p - 1) + 1, n)
+        numerals = sorted(base_q_value(key, q) * q**L for key in product(allowed, repeat=L))
+        assert interval_numerators(p, n, L) == numerals
+        assert interval_left_endpoints(p, n, L) == [m / q**L for m in numerals]
 
 
 class TestContinuityWitnesses:

@@ -1,6 +1,7 @@
 """Command-line dispatch: output formats and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -238,6 +239,19 @@ class TestVerifyCommand:
         assert "prime" in err
 
 
+    def test_huge_modulus_is_rejected_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "verify", "--p", "1000000000000000000000000000057",
+            "--n", "2", "--K", "1", "--suite", "roundtrip",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
@@ -249,6 +263,24 @@ class TestEmitCantorCommand:
         )
         assert code == 0
         assert out == [f"wrote 4 rows to {out_path}"]
+
+
+class TestModulusFlagMustMatchLiterals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["interleave", "--p", "3", "--coord", "2:2:1,0", "--coord", "2:2:1,1"],
+            ["encode", "--p", "3", "--n", "2", "--x", "2:2:1,0"],
+            ["phi", "--p", "5", "--n", "2", "--x", "2:2:1,0"],
+            ["deinterleave", "--p", "3", "--n", "2", "--z", "2:4:1,0,1,1"],
+        ],
+    )
+    def test_disagreeing_p_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == []
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--p is" in err
 
 
 class TestUsageErrors:

@@ -14,6 +14,7 @@ from padic_kas import (
     PrecisionMismatch,
     TruncatedPadicInt,
     format_padic,
+    is_prime,
     make_padic,
     make_point,
     padic_add,
@@ -43,6 +44,31 @@ def padic_same_shape(draw, count=2):
     p = draw(primes)
     K = draw(st.integers(1, 6))
     return tuple(draw(padic_values(p=p, K=K)) for _ in range(count))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def by_division(m):
+            return m >= 2 and all(m % d for d in range(2, int(m**0.5) + 1))
+
+        assert [m for m in range(-3, 5000) if is_prime(m)] == [
+            m for m in range(-3, 5000) if by_division(m)
+        ]
+
+    @pytest.mark.parametrize("m", [561, 41041, 3215031751, 2**61 + 1])
+    def test_rejects_carmichael_numbers_and_strong_pseudoprimes(self, m):
+        assert not is_prime(m)
+        with pytest.raises(NonPrimeModulus):
+            make_padic([], m, 1)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**80 - 65)
+
+    def test_rejects_moduli_beyond_the_exact_range(self):
+        for m in (3317044064679887385961981, 10**27 + 57):
+            with pytest.raises(NonPrimeModulus):
+                is_prime(m)
 
 
 class TestMakePadic:

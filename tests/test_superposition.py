@@ -1,6 +1,7 @@
 """Representative construction and the exact superposition identities."""
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
 
@@ -26,7 +27,9 @@ from padic_kas import (
     combine,
     eval_g,
     extract,
+    gap_intervals,
     h_value,
+    interval_left_endpoints,
     make_padic,
     make_point,
     padic_add,
@@ -259,6 +262,112 @@ class TestSuperpose1:
         G = build_g(CylinderFunction.from_builtin("zero", 2, 2, 1))
         with pytest.raises(DimensionMismatch):
             superpose1(G, pt(2, 1, 1))
+
+
+def _small_configs():
+    """Every (p, n, K) with p in {2, 3, 5}, n in {1, 2, 3} and p**(n*K) <= 729."""
+    return [
+        (p, n, K)
+        for p in (2, 3, 5)
+        for n in (1, 2, 3)
+        for K in range(1, 10)
+        if p ** (n * K) <= 729
+    ]
+
+
+def _interval_values(f, lefts):
+    """f on each interval, read from the base-q digits of its left endpoint."""
+    p, n, K = f.p, f.n, f.K
+    q = n * (p - 1) + 1
+    values = []
+    for left in lefts:
+        m = left * q ** (n * K)
+        digits = []
+        for _ in range(n * K):
+            m, d = divmod(int(m), q)
+            digits.append(d // n)
+        digits.reverse()
+        coords = [TruncatedPadicInt(p, K, tuple(digits[k::n])) for k in range(n)]
+        values.append(f(make_point(coords)))
+    return values
+
+
+def _search_eval_g(lefts, width, gaps, values, t):
+    """The gap rule by binary search over the Fraction endpoints of the codec."""
+    gi = bisect_right([a for a, _ in gaps], t) - 1
+    if gi >= 0:
+        a, b = gaps[gi]
+        if a < t < b:
+            va, vb = Fraction(values[gi]), Fraction(values[gi + 1])
+            return float(va + (vb - va) * ((t - a) / (b - a)))
+    j = bisect_right(lefts, t) - 1
+    assert lefts[j] <= t <= lefts[j] + width
+    return values[j]
+
+
+class TestEvalGIndexing:
+    @pytest.mark.parametrize("p,n,K", _small_configs())
+    def test_matches_search_over_endpoints(self, p, n, K):
+        rng = random.Random(100 * p + 10 * n + K)
+        f = random_real_table(p, n, K, rng)
+        G = build_g(f)
+        L = n * K
+        lefts = interval_left_endpoints(p, n, L)
+        gaps = gap_intervals(p, n, L)
+        width = Fraction(1, (n * (p - 1) + 1) ** L)
+        values = _interval_values(f, lefts)
+        points = [t for left in lefts for t in (left, left + width)]
+        for a, b in gaps:
+            points += [a, b, a + (b - a) * Fraction(rng.randrange(1, 97), 97)]
+        for t in points:
+            assert eval_g(G, t) == _search_eval_g(lefts, width, gaps, values, t), t
+
+    @pytest.mark.parametrize("p,n,K", [(2, 2, 2), (3, 2, 1), (2, 3, 1), (5, 3, 1)])
+    def test_right_end_of_interval_keeps_its_value(self, p, n, K):
+        G = build_g(random_real_table(p, n, K, random.Random(1)))
+        width = Fraction(1, G.q**G.L)
+        for i, left in enumerate(interval_left_endpoints(p, n, G.L)):
+            assert eval_g(G, left + width) == G.values[i]
+
+    def test_shared_endpoint_takes_the_right_interval_for_arity_one(self):
+        G = build_g(random_real_table(3, 1, 2, random.Random(2)))
+        lefts = interval_left_endpoints(3, 1, 2)
+        for i in range(len(lefts) - 1):
+            assert lefts[i] + G.width == lefts[i + 1]
+            assert eval_g(G, lefts[i + 1]) == G.values[i + 1]
+            assert eval_g(G, lefts[i + 1]) != G.values[i]
+
+    @pytest.mark.parametrize("p,n,K", [(2, 1, 2), (2, 2, 2), (3, 3, 1)])
+    def test_ends_of_the_unit_interval(self, p, n, K):
+        G = build_g(random_real_table(p, n, K, random.Random(3)))
+        for zero in (0, Fraction(0)):
+            assert eval_g(G, zero) == G.values[0]
+        for one in (1, Fraction(1)):
+            assert eval_g(G, one) == G.values[-1]
+
+    @pytest.mark.parametrize("t", [Fraction(-1, 10**9), -1, Fraction(10**9 + 1, 10**9), 2])
+    def test_outside_the_unit_interval_raises(self, t):
+        G = build_g(random_real_table(2, 2, 2, random.Random(4)))
+        with pytest.raises(DomainViolation):
+            eval_g(G, t)
+
+    def test_gaps_pair_neighbouring_intervals(self):
+        G = build_g(random_real_table(3, 2, 2, random.Random(5)))
+        gaps = G.gaps()
+        assert [(a, b) for a, b, _, _ in gaps] == gap_intervals(3, 2, 4)
+        assert [(va, vb) for _, _, va, vb in gaps] == list(zip(G.values, G.values[1:]))
+
+    def test_arity_one_has_no_gaps(self):
+        assert build_g(random_real_table(5, 1, 2, random.Random(6))).gaps() == []
+
+
+class TestSuperpose1ReadsTheIndex:
+    @pytest.mark.parametrize("p,n,K", [(2, 1, 3), (2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 2, 1)])
+    def test_agrees_with_eval_g_at_the_packed_value(self, p, n, K):
+        G = build_g(random_real_table(p, n, K, random.Random(7)))
+        for X in all_points(p, n, K):
+            s = combine([cantor_encode(c, n) for c in X.coords])
+            assert superpose1(G, X) == eval_g(G, cantor_to_rational(s))
 
 
 class TestBuildH:
