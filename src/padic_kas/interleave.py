@@ -24,6 +24,11 @@ __all__ = [
     "deinterleave",
 ]
 
+# A NamedTuple's __new__ is a Python-level wrapper around this call.
+# interleave and deinterleave call it directly, which saves one interpreter
+# frame per value built; exhaustive verification builds millions of them.
+_new = tuple.__new__
+
 
 class InterleavedPadic(NamedTuple):
     """A truncated p-adic integer of precision n*K tagged with its arity."""
@@ -79,7 +84,8 @@ def interleave(X: PadicPoint) -> InterleavedPadic:
         cat += c.digits
     if len(cat) != n * K:
         raise PrecisionMismatch(f"coordinates carry {len(cat)} digits, expected {n * K}")
-    return InterleavedPadic(TruncatedPadicInt(p, n * K, _merge_order(n, K)(cat)), n)
+    merged = _new(TruncatedPadicInt, (p, n * K, _merge_order(n, K)(cat)))
+    return _new(InterleavedPadic, (merged, n))
 
 
 def deinterleave_k(z: InterleavedPadic, k: int) -> TruncatedPadicInt:
@@ -92,10 +98,9 @@ def deinterleave_k(z: InterleavedPadic, k: int) -> TruncatedPadicInt:
 
 def deinterleave(z: InterleavedPadic) -> PadicPoint:
     """All n streams at once; the full inverse of :func:`interleave`."""
-    v, n = z
-    K = v.K // n
-    p = v.p
-    digits = v.digits
-    return PadicPoint(
-        n, tuple([TruncatedPadicInt(p, K, digits[k::n]) for k in range(n)])
-    )
+    (p, nK, digits), n = z
+    K = nK // n
+    coords = []
+    for k in range(n):
+        coords.append(_new(TruncatedPadicInt, (p, K, digits[k::n])))
+    return _new(PadicPoint, (n, tuple(coords)))
