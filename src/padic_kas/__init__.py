@@ -67,30 +67,57 @@ from .interleave import (
     make_interleaved,
     omega,
 )
-from .superposition import (
-    BUILTIN_NAMES,
-    PADIC,
-    REAL,
-    WEIGHTS_PAPER,
-    WEIGHTS_PROOF,
-    CylinderFunction,
-    GFunction,
-    HFunction,
-    build_g,
-    build_h,
-    eval_g,
-    h_value,
-    superpose1,
-    superpose2,
+
+
+# The representatives and the verification suites are imported on first use
+# (PEP 562), so that the CLI's codec commands start without them.  The
+# interleave names stay eager: the function shares the submodule's name, and
+# a later first import of the submodule would rebind ``interleave`` to it.
+_LAZY = {
+    name: "superposition"
+    for name in (
+        "BUILTIN_NAMES",
+        "PADIC",
+        "REAL",
+        "WEIGHTS_PAPER",
+        "WEIGHTS_PROOF",
+        "CylinderFunction",
+        "GFunction",
+        "HFunction",
+        "build_g",
+        "build_h",
+        "eval_g",
+        "h_value",
+        "superpose1",
+        "superpose2",
+    )
+}
+_LAZY.update(
+    (name, "verify")
+    for name in (
+        "EXHAUSTIVE_LIMIT",
+        "SUITES",
+        "RunConfig",
+        "VerificationReport",
+        "emit_cantor_csv",
+        "load_table_json",
+        "run_verify",
+    )
 )
-from .verify import (
-    EXHAUSTIVE_LIMIT,
-    SUITES,
-    RunConfig,
-    VerificationReport,
-    emit_cantor_csv,
-    load_table_json,
-    run_verify,
-)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in ("superposition", "verify"):
+        return import_module(f"{__name__}.{name}")
+    if name in _LAZY:
+        return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, "superposition", "verify"})
+
 
 __version__ = "0.1.0"

@@ -14,9 +14,8 @@ All digit vectors are exact; rationals appear only at output boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
 
-from .core import TruncatedPadicInt, is_prime
+from .core import TruncatedPadicInt, is_prime, named_tuple
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -44,17 +43,14 @@ __all__ = [
 ]
 
 
-class CantorValue(NamedTuple):
+@named_tuple("p n digits")
+class CantorValue:
     """A number in [0,1] as base-q digits, most significant first.
 
     ``digits[i]`` is the coefficient of q**(-i-1), q = n*(p-1)+1.  Values
     produced by the codec carry only digits that are multiples of n; the raw
     constructor trusts its arguments and :func:`make_cantor` validates range.
     """
-
-    p: int
-    n: int
-    digits: tuple
 
     @property
     def q(self) -> int:
@@ -65,7 +61,7 @@ class CantorValue(NamedTuple):
         return len(self.digits)
 
 
-def make_cantor(digits: Sequence[int], p: int, n: int) -> CantorValue:
+def make_cantor(digits, p: int, n: int) -> CantorValue:
     """Build a validated base-q digit vector.
 
     Digits must lie in [0, n*(p-1)].  Membership in the Cantor-like set
@@ -122,7 +118,7 @@ def spread(c: CantorValue) -> CantorValue:
     return CantorValue(c.p, n, tuple(out))
 
 
-def combine(parts: Sequence[CantorValue]) -> CantorValue:
+def combine(parts) -> CantorValue:
     """Interleave n stride-1 values: output digit n*i+k is parts[k].digits[i].
 
     Digitwise this equals sum_k q**(-k) * spread(parts[k]); no carries occur

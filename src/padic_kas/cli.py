@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 verification failure (or superposition mismatch),
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -23,20 +22,16 @@ from .cantor import (
 from .core import format_padic, make_point, parse_padic
 from .errors import ConfigError, InvalidCantorDigit, PadicKasError
 from .interleave import deinterleave, interleave, make_interleaved
-from .superposition import (
-    PADIC,
-    REAL,
-    WEIGHTS_PAPER,
-    WEIGHTS_PROOF,
-    CylinderFunction,
-    build_g,
-    build_h,
-    superpose1,
-    superpose2,
-)
-from .verify import RunConfig, load_table_json, emit_cantor_csv, run_verify
+
+# Each command runs in a fresh process and imports what it needs itself, so
+# that the codec commands start without the representatives (superposition)
+# or the verification suites (verify).
 
 SEED_ENV_VAR = "PADIC_KAS_SEED"
+
+# superposition.WEIGHTS_PROOF and WEIGHTS_PAPER, spelled out so that building
+# the parser imports nothing.
+WEIGHTS = ("proof", "paper")
 
 
 def _rational(fr: Fraction) -> str:
@@ -112,13 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_pn(s, K=True)
     _add_function(s, required=True)
     s.add_argument("--out", required=True, help="output JSON path")
-    s.add_argument("--weights", choices=(WEIGHTS_PROOF, WEIGHTS_PAPER), default=WEIGHTS_PROOF)
+    s.add_argument("--weights", choices=WEIGHTS, default=WEIGHTS[0])
 
     s = sub.add_parser("superpose", help="evaluate f through its univariate representative")
     _add_pn(s, K=True)
     _add_function(s, required=True)
     s.add_argument("--coord", action="append", required=True, help="coordinate (repeat n times)")
-    s.add_argument("--weights", choices=(WEIGHTS_PROOF, WEIGHTS_PAPER), default=WEIGHTS_PROOF)
+    s.add_argument("--weights", choices=WEIGHTS, default=WEIGHTS[0])
 
     s = sub.add_parser("verify", help="run verification suites")
     _add_pn(s, K=True)
@@ -127,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=int, default=10000)
     s.add_argument("--seed", type=int, default=None, help=f"overrides ${SEED_ENV_VAR}; default 0")
     s.add_argument("--out", help="write the JSON report here")
-    s.add_argument("--weights", choices=(WEIGHTS_PROOF, WEIGHTS_PAPER), default=WEIGHTS_PROOF)
+    s.add_argument("--weights", choices=WEIGHTS, default=WEIGHTS[0])
 
     s = sub.add_parser("emit-cantor", help="CSV of level-L interval left endpoints")
     _add_pn(s)
@@ -192,7 +187,11 @@ def _cmd_deinterleave(args):
 
 
 def _resolve_cli_function(args, codomain=None):
+    from .superposition import PADIC, CylinderFunction
+
     if args.table:
+        from .verify import load_table_json
+
         f = load_table_json(args.table)
         if (f.p, f.n, f.K) != (args.p, args.n, args.K):
             raise PadicKasError(
@@ -205,6 +204,10 @@ def _resolve_cli_function(args, codomain=None):
 
 
 def _cmd_build_g(args):
+    import json
+
+    from .superposition import REAL, build_g
+
     f = _resolve_cli_function(args, codomain=REAL)
     G = build_g(f)
     payload = {
@@ -220,11 +223,18 @@ def _cmd_build_g(args):
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True)
-    print(f"wrote {len(G.table)} interval values and {len(G.gaps())} gaps to {args.out}")
+    # Gap i lies between intervals i and i+1; for n = 1 the intervals touch.
+    intervals = len(G.values)
+    gaps = 0 if G.n == 1 else intervals - 1
+    print(f"wrote {intervals} interval values and {gaps} gaps to {args.out}")
     return 0
 
 
 def _cmd_build_h(args):
+    import json
+
+    from .superposition import PADIC, build_h
+
     f = _resolve_cli_function(args, codomain=PADIC)
     H = build_h(f, args.weights)
     payload = {
@@ -246,6 +256,8 @@ def _cmd_build_h(args):
 
 
 def _cmd_superpose(args):
+    from .superposition import PADIC, CylinderFunction, build_g, build_h, superpose1, superpose2
+
     if args.table:
         f = _resolve_cli_function(args)
     else:
@@ -270,6 +282,8 @@ def _cmd_superpose(args):
 
 
 def _cmd_verify(args):
+    from .verify import RunConfig, run_verify
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
@@ -307,6 +321,8 @@ def _cmd_verify(args):
 
 
 def _cmd_emit_cantor(args):
+    from .verify import emit_cantor_csv
+
     rows = emit_cantor_csv(args.p, args.n, args.L, args.out)
     print(f"wrote {rows} rows to {args.out}")
     return 0

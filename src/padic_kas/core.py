@@ -7,9 +7,9 @@ be shared freely across threads or processes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DigitOutOfRange,
@@ -73,17 +73,32 @@ def is_prime(p: int) -> bool:
     return True
 
 
-class TruncatedPadicInt(NamedTuple):
+def named_tuple(fields, defaults=()):
+    """Class decorator: a ``collections.namedtuple`` with the class's docstring and methods.
+
+    This builds what ``typing.NamedTuple`` builds, without importing
+    ``typing``.  ``fields`` is a space-separated string; ``defaults`` apply
+    to the last fields.
+    """
+
+    def build(body):
+        cls = namedtuple(body.__name__, fields, defaults=defaults, module=body.__module__)
+        for attr, value in vars(body).items():
+            if attr not in ("__dict__", "__weakref__", "__module__"):
+                setattr(cls, attr, value)
+        return cls
+
+    return build
+
+
+@named_tuple("p K digits")
+class TruncatedPadicInt:
     """A p-adic integer known to K base-p digits (a residue mod p**K).
 
     ``digits`` is little-endian: ``digits[0]`` is the units digit.  The raw
     constructor trusts its arguments so that digit-shuffling maps stay cheap;
     :func:`make_padic` is the validating entry point.
     """
-
-    p: int
-    K: int
-    digits: tuple
 
     def to_int(self) -> int:
         """The representative integer in [0, p**K)."""
@@ -93,14 +108,13 @@ class TruncatedPadicInt(NamedTuple):
         return acc
 
 
-class PadicPoint(NamedTuple):
+@named_tuple("n coords")
+class PadicPoint:
     """An n-tuple of truncated p-adic integers sharing p and K."""
 
-    n: int
-    coords: tuple
 
-
-class PadicScalar(NamedTuple):
+@named_tuple("p valuation unit", defaults=(None,))
+class PadicScalar:
     """An element of Q_p split as p**valuation times a unit.
 
     ``unit`` is a truncated p-adic integer with nonzero units digit, or None
@@ -108,10 +122,6 @@ class PadicScalar(NamedTuple):
     codecs in this package; negative valuations are supported for norm
     computation only.
     """
-
-    p: int
-    valuation: int
-    unit: Optional[TruncatedPadicInt] = None
 
     @classmethod
     def zero(cls, p: int) -> "PadicScalar":
@@ -146,7 +156,7 @@ class PadicScalar(NamedTuple):
         return TruncatedPadicInt(self.p, K, digits)
 
 
-def make_padic(digits: Sequence[int], p: int, K: int) -> TruncatedPadicInt:
+def make_padic(digits, p: int, K: int) -> TruncatedPadicInt:
     """Build a validated value from little-endian digits, zero-padded to K.
 
     Raises:
@@ -181,7 +191,7 @@ def padic_from_int(value: int, p: int, K: int) -> TruncatedPadicInt:
     return TruncatedPadicInt(p, K, tuple(digs))
 
 
-def make_point(coords: Sequence[TruncatedPadicInt]) -> PadicPoint:
+def make_point(coords) -> PadicPoint:
     """Build a validated point; all coordinates must share p and K."""
     coords = tuple(coords)
     if not coords:

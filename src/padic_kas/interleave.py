@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple
 
-from .core import PadicPoint, TruncatedPadicInt
+from .core import PadicPoint, TruncatedPadicInt, named_tuple
 from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange, PrecisionMismatch
 
 __all__ = [
@@ -24,17 +23,15 @@ __all__ = [
     "deinterleave",
 ]
 
-# A NamedTuple's __new__ is a Python-level wrapper around this call.
+# A named tuple's __new__ is a Python-level wrapper around this call.
 # interleave and deinterleave call it directly, which saves one interpreter
 # frame per value built; exhaustive verification builds millions of them.
 _new = tuple.__new__
 
 
-class InterleavedPadic(NamedTuple):
+@named_tuple("value n")
+class InterleavedPadic:
     """A truncated p-adic integer of precision n*K tagged with its arity."""
-
-    value: TruncatedPadicInt
-    n: int
 
 
 def make_interleaved(value: TruncatedPadicInt, n: int) -> InterleavedPadic:

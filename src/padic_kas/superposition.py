@@ -20,10 +20,9 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from typing import Mapping, Union
 
 from .cantor import gap_intervals
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add, padic_norm
+from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
 from .errors import (
     CodomainMismatch,
     ConfigError,
@@ -61,9 +60,6 @@ WEIGHTS_PAPER = "paper"
 # Builtin selector names; K stands for a 1-based coordinate index.
 BUILTIN_NAMES = ("zero", "proj-K", "padic-sum", "norm-K", "norm-product", "digit0-K")
 
-TableKey = tuple
-TableValue = Union[float, TruncatedPadicInt]
-
 
 class CylinderFunction:
     """A level-K locally constant function on n-tuples of p-adic integers.
@@ -98,7 +94,7 @@ class CylinderFunction:
             f"K={self.K}, codomain={self.codomain!r})"
         )
 
-    def __call__(self, X: PadicPoint) -> TableValue:
+    def __call__(self, X: PadicPoint):
         _check_point(X, self)
         return self._fn(X)
 
@@ -117,7 +113,7 @@ class CylinderFunction:
         return cls(p, n, K, fixed, fn, name)
 
     @classmethod
-    def from_table(cls, p, n, K, codomain, entries: Mapping[TableKey, TableValue], name="table"):
+    def from_table(cls, p, n, K, codomain, entries, name="table"):
         """Build from a total mapping digit-tuple -> value.
 
         Keys are n-tuples of little-endian K-digit tuples.  The mapping must
@@ -213,6 +209,25 @@ def _coord_index(name, prefix, n):
     return k - 1
 
 
+def _norm(p, coords):
+    """The product of the p-adic norms of coords, as a float.
+
+    Each norm is p**-v, v the index of the first nonzero digit, so the
+    product is 1 / p**(sum of the v), or 0.0 if a coordinate is all zeros.
+    Integer true division rounds once and correctly, so this is the float of
+    the product of the exact :func:`.core.padic_norm` values, bit for bit.
+    """
+    v = 0
+    for c in coords:
+        for i, d in enumerate(c.digits):
+            if d:
+                v += i
+                break
+        else:
+            return 0.0
+    return 1 / p**v
+
+
 def _resolve_builtin(name, p, n, K, codomain):
     if name == "zero":
         cod = codomain or REAL
@@ -223,15 +238,13 @@ def _resolve_builtin(name, p, n, K, codomain):
     if name == "padic-sum":
         return PADIC, lambda X: reduce(padic_add, X.coords)
     if name == "norm-product":
-        return REAL, lambda X: float(
-            reduce(lambda a, b: a * b, (padic_norm(c) for c in X.coords))
-        )
+        return REAL, lambda X: _norm(p, X.coords)
     if name.startswith("proj-"):
         k = _coord_index(name, "proj-", n)
         return PADIC, lambda X: X.coords[k]
     if name.startswith("norm-"):
         k = _coord_index(name, "norm-", n)
-        return REAL, lambda X: float(padic_norm(X.coords[k]))
+        return REAL, lambda X: _norm(p, (X.coords[k],))
     if name.startswith("digit0-"):
         k = _coord_index(name, "digit0-", n)
         return REAL, lambda X: float(X.coords[k].digits[0])

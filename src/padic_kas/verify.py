@@ -8,16 +8,13 @@ so a report is a pure function of its configuration.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Optional
 
 from .cantor import (
     CantorValue,
@@ -75,39 +72,49 @@ EXHAUSTIVE_LIMIT = 10**6
 LEMMA1_LEVEL = 8
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Parameters of one verification run."""
 
-    p: int
-    n: int
-    K: int
-    suite: str = "all"
-    function: Optional[str] = None
-    samples: int = 10000
-    seed: int = 0
-    output: Optional[str] = None
-    weights: str = WEIGHTS_PROOF
+    __slots__ = ("p", "n", "K", "suite", "function", "samples", "seed", "output", "weights")
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ConfigError(f"p must be prime, got {self.p}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.samples < 0:
-            raise ConfigError(f"sample count must be >= 0, got {self.samples}")
-        if self.suite != "all" and self.suite not in SUITES:
-            raise ConfigError(f"unknown suite {self.suite!r}; choose from {SUITES + ('all',)}")
-        if self.weights not in (WEIGHTS_PROOF, WEIGHTS_PAPER):
-            raise ConfigError(f"weights must be 'proof' or 'paper', got {self.weights!r}")
+    def __init__(
+        self,
+        p: int,
+        n: int,
+        K: int,
+        suite: str = "all",
+        function: str | None = None,
+        samples: int = 10000,
+        seed: int = 0,
+        output: str | None = None,
+        weights: str = WEIGHTS_PROOF,
+    ):
+        if not is_prime(p):
+            raise ConfigError(f"p must be prime, got {p}")
+        if n < 1:
+            raise ConfigError(f"n must be >= 1, got {n}")
+        if K < 1:
+            raise ConfigError(f"K must be >= 1, got {K}")
+        if samples < 0:
+            raise ConfigError(f"sample count must be >= 0, got {samples}")
+        if suite != "all" and suite not in SUITES:
+            raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
+        if weights not in (WEIGHTS_PROOF, WEIGHTS_PAPER):
+            raise ConfigError(f"weights must be 'proof' or 'paper', got {weights!r}")
+        self.p = p
+        self.n = n
+        self.K = K
+        self.suite = suite
+        self.function = function
+        self.samples = samples
+        self.seed = seed
+        self.output = output
+        self.weights = weights
 
     def selected_suites(self):
         return SUITES if self.suite == "all" else (self.suite,)
 
 
-@dataclass
 class VerificationReport:
     """Outcome of a verification run.
 
@@ -117,12 +124,15 @@ class VerificationReport:
     identical configurations must serialize byte-identically.
     """
 
-    suite: str
-    params: dict
-    cases: int
-    breakdown: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("suite", "params", "cases", "breakdown", "failures", "wall_time")
+
+    def __init__(self, suite, params, cases, breakdown=None, failures=None, wall_time=0.0):
+        self.suite = suite
+        self.params = params
+        self.cases = cases
+        self.breakdown = {} if breakdown is None else breakdown
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:
@@ -546,6 +556,8 @@ def emit_cantor_csv(p: int, n: int, L: int, path: str) -> int:
         raise NonPrimeModulus(f"modulus {p} is not prime")
     if p**L > EXHAUSTIVE_LIMIT:
         raise SizeLimitExceeded(f"p**L = {p**L} exceeds the limit {EXHAUSTIVE_LIMIT}")
+    import csv
+
     lefts = interval_left_endpoints(p, n, L)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -1,11 +1,16 @@
 """Command-line dispatch: output formats and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from padic_kas.cli import cli_dispatch
+from padic_kas.cli import WEIGHTS, cli_dispatch
+from padic_kas.superposition import WEIGHTS_PAPER, WEIGHTS_PROOF
 
 from helpers import table_keys
 
@@ -93,6 +98,21 @@ class TestBuildCommands:
         assert len(payload["entries"]) == 4
         values = {tuple(e["digits"]): e["value"] for e in payload["entries"]}
         assert values == {(0, 0): 0.0, (0, 2): 0.0, (2, 0): 1.0, (2, 2): 1.0}
+
+    @pytest.mark.parametrize(
+        "n, K, intervals, gaps", [(2, 2, 16, 15), (3, 1, 8, 7), (1, 3, 8, 0)]
+    )
+    def test_build_g_counts_intervals_and_gaps(self, capsys, tmp_path, n, K, intervals, gaps):
+        out_path = tmp_path / "g.json"
+        code, out, _ = run(
+            capsys,
+            "build-g",
+            "--p", "2", "--n", str(n), "--K", str(K),
+            "--function", "norm-1",
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out == [f"wrote {intervals} interval values and {gaps} gaps to {out_path}"]
 
     def test_build_h_writes_table(self, capsys, tmp_path):
         out_path = tmp_path / "h.json"
@@ -295,3 +315,62 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
+
+
+# Every name the package exported when it imported all of its modules eagerly.
+PACKAGE_NAMES = (
+    "CantorValue", "cantor_decode", "cantor_encode", "cantor_to_rational", "combine",
+    "extract", "format_cantor", "gap_intervals", "interval_left_endpoints",
+    "interval_numerators", "make_cantor", "parse_cantor", "phi_full", "spread",
+    "PadicPoint", "PadicScalar", "TruncatedPadicInt", "format_padic", "is_prime",
+    "make_padic", "make_point", "padic_add", "padic_from_int", "padic_norm", "padic_shift",
+    "padic_sub", "parse_padic", "point_distance",
+    "ArityMismatch", "CodomainMismatch", "ConfigError", "DigitOutOfRange",
+    "DimensionMismatch", "DomainViolation", "IndexOutOfRange", "InvalidCantorDigit",
+    "NonPrimeModulus", "PadicKasError", "PrecisionMismatch", "SizeLimitExceeded",
+    "TableFormatError",
+    "InterleavedPadic", "deinterleave", "deinterleave_k", "interleave", "make_interleaved",
+    "omega",
+    "BUILTIN_NAMES", "PADIC", "REAL", "WEIGHTS_PAPER", "WEIGHTS_PROOF", "CylinderFunction",
+    "GFunction", "HFunction", "build_g", "build_h", "eval_g", "h_value", "superpose1",
+    "superpose2",
+    "EXHAUSTIVE_LIMIT", "SUITES", "RunConfig", "VerificationReport", "emit_cantor_csv",
+    "load_table_json", "run_verify",
+    "cantor", "core", "errors", "superposition", "verify", "__version__",
+)
+
+# Run in a fresh interpreter without site: what importing the CLI loads, then
+# whether the package's names all resolve and show in dir().
+STARTUP_PROBE = """
+import json, sys
+import padic_kas.cli
+loaded = sorted(
+    m for m in ("padic_kas.verify", "padic_kas.superposition", "typing", "dataclasses", "inspect")
+    if m in sys.modules
+)
+import padic_kas
+print(json.dumps({
+    "loaded": loaded,
+    "interleave": type(padic_kas.interleave).__name__,
+    "missing": [name for name in sys.argv[1:] if not hasattr(padic_kas, name)],
+    "unlisted": sorted(set(sys.argv[1:]) - set(dir(padic_kas))),
+}))
+"""
+
+
+class TestStartup:
+    def test_cli_import_loads_only_what_codec_commands_use(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", STARTUP_PROBE, *PACKAGE_NAMES],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        result = json.loads(proc.stdout)
+        assert result["loaded"] == []
+        assert result["interleave"] == "function"
+        assert result["missing"] == []
+        assert result["unlisted"] == []
+
+    def test_weights_flag_choices_match_the_library(self):
+        assert WEIGHTS == (WEIGHTS_PROOF, WEIGHTS_PAPER)

@@ -34,6 +34,7 @@ from padic_kas import (
     make_point,
     padic_add,
     padic_from_int,
+    padic_norm,
     superpose1,
     superpose2,
 )
@@ -77,6 +78,29 @@ class TestBuiltins:
     def test_norm_product(self):
         f = CylinderFunction.from_builtin("norm-product", 2, 2, 3)
         assert f(pt(2, 3, 2, 4)) == float(Fraction(1, 2) * Fraction(1, 4))
+
+    @pytest.mark.parametrize("p, n, K", [(2, 2, 3), (3, 2, 2), (7, 3, 1), (5, 1, 4)])
+    def test_norms_match_the_fraction_reference(self, p, n, K):
+        # Every point, zero coordinates included: the float norms are the
+        # floats of the exact Fraction norms, bit for bit.
+        product_fn = CylinderFunction.from_builtin("norm-product", p, n, K)
+        first_fn = CylinderFunction.from_builtin("norm-1", p, n, K)
+        for X in all_points(p, n, K):
+            exact = Fraction(1)
+            for c in X.coords:
+                exact *= padic_norm(c)
+            assert repr(product_fn(X)) == repr(float(exact))
+            assert repr(first_fn(X)) == repr(float(padic_norm(X.coords[0])))
+
+    @pytest.mark.parametrize("p, K, v1, v2", [(7, 12, 9, 10), (3, 20, 17, 18)])
+    def test_norm_product_of_deep_valuations_rounds_like_fraction(self, p, K, v1, v2):
+        # 1/p**(v1+v2) is not dyadic, and at these exponents the float power
+        # 1/float(p)**v rounds twice and misses: the quotient must round once.
+        f = CylinderFunction.from_builtin("norm-product", p, 2, K)
+        X = make_point([padic_from_int(p**v1, p, K), padic_from_int(2 * p**v2, p, K)])
+        assert repr(f(X)) == repr(float(Fraction(1, p ** (v1 + v2))))
+        Y = make_point([padic_from_int(0, p, K), padic_from_int(1, p, K)])
+        assert f(Y) == 0.0
 
     def test_digit0(self):
         f = CylinderFunction.from_builtin("digit0-1", 3, 2, 1)
