@@ -77,6 +77,7 @@ _LAZY = {
     name: "superposition"
     for name in (
         "BUILTIN_NAMES",
+        "EXHAUSTIVE_LIMIT",
         "PADIC",
         "REAL",
         "WEIGHTS_PAPER",
@@ -95,7 +96,6 @@ _LAZY = {
 _LAZY.update(
     (name, "verify")
     for name in (
-        "EXHAUSTIVE_LIMIT",
         "SUITES",
         "RunConfig",
         "VerificationReport",

@@ -292,11 +292,12 @@ def _cmd_verify(args):
         n=args.n,
         K=args.K,
         suite=args.suite,
-        function=args.table or args.function,
+        function=args.function,
         samples=args.samples,
         seed=seed,
         output=args.out,
         weights=args.weights,
+        table=args.table,
     )
     report = run_verify(config)
     print(

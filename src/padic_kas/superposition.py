@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from operator import attrgetter
 
 from .cantor import gap_intervals
 from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
@@ -30,6 +31,7 @@ from .errors import (
     DomainViolation,
     NonPrimeModulus,
     PrecisionMismatch,
+    SizeLimitExceeded,
     TableFormatError,
 )
 from .interleave import interleave
@@ -38,6 +40,7 @@ __all__ = [
     "REAL",
     "PADIC",
     "BUILTIN_NAMES",
+    "EXHAUSTIVE_LIMIT",
     "CylinderFunction",
     "GFunction",
     "HFunction",
@@ -59,6 +62,15 @@ WEIGHTS_PAPER = "paper"
 
 # Builtin selector names; K stands for a 1-based coordinate index.
 BUILTIN_NAMES = ("zero", "proj-K", "padic-sum", "norm-K", "norm-product", "digit0-K")
+
+# The most entries a table may have; exhaustive enumeration stays within it.
+EXHAUSTIVE_LIMIT = 10**6
+
+# A named tuple's __new__ is a Python-level wrapper around this call; the
+# tabulations build their points with it directly, as interleave does.
+_new = tuple.__new__
+
+_digits = attrgetter("digits")
 
 
 class CylinderFunction:
@@ -129,7 +141,7 @@ class CylinderFunction:
             )
 
         def fn(X, _table=table):
-            return _table[tuple(c.digits for c in X.coords)]
+            return _table[tuple(map(_digits, X.coords))]
 
         return cls(p, n, K, codomain, fn, name, table=table)
 
@@ -296,17 +308,42 @@ class GFunction:
         return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
 
 
+def _require_table_size(p, L):
+    """Raise unless a table over all p**L digit tuples fits under EXHAUSTIVE_LIMIT.
+
+    p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
+    without computing the power.
+    """
+    if L >= EXHAUSTIVE_LIMIT.bit_length() or p**L > EXHAUSTIVE_LIMIT:
+        raise SizeLimitExceeded(
+            f"p**(n*K) = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
+        )
+
+
 def _points_in_order(p, n, K):
-    """(zdig, X) for every point of (Z/p^K)^n; coordinate k is ``zdig[k::n]``."""
+    """(zdig, X) for every point of (Z/p^K)^n; coordinate k is ``zdig[k::n]``.
+
+    Each of the p**K coordinate values is built once and shared by every
+    point that has it.
+    """
+    _require_table_size(p, n * K)
+    coord = {d: _new(TruncatedPadicInt, (p, K, d)) for d in product(range(p), repeat=K)}
+    shared = coord.__getitem__
+    streams = [slice(k, None, n) for k in range(n)]
     for zdig in product(range(p), repeat=n * K):
-        yield zdig, PadicPoint(n, tuple(TruncatedPadicInt(p, K, zdig[k::n]) for k in range(n)))
+        yield zdig, _new(PadicPoint, (n, tuple(map(shared, map(zdig.__getitem__, streams)))))
 
 
 def build_g(f: CylinderFunction) -> GFunction:
-    """Tabulate f on every level-nK codec interval, in increasing order."""
+    """Tabulate f on every level-nK codec interval, in increasing order.
+
+    The points are the library's own, at f's p, n and K, so f's body is
+    called on them without the point check.
+    """
     if f.codomain != REAL:
         raise CodomainMismatch(f"build_g needs a real-valued function, got {f.codomain!r}")
-    values = [float(f(X)) for _, X in _points_in_order(f.p, f.n, f.K)]
+    fn = f._fn
+    values = [float(fn(X)) for _, X in _points_in_order(f.p, f.n, f.K)]
     return GFunction(f.p, f.n, f.K, values)
 
 
@@ -393,21 +430,33 @@ class HFunction:
 
 
 def build_h(f: CylinderFunction, weights: str = WEIGHTS_PROOF) -> HFunction:
-    """Tabulate f against the digit de-interleave of every nK-digit prefix."""
+    """Tabulate f against the digit de-interleave of every nK-digit prefix.
+
+    f's body is called on the library's own points without the point check.
+    Each distinct value becomes one :class:`PadicScalar`, which every entry
+    holding that value shares.
+    """
     if f.codomain != PADIC:
         raise CodomainMismatch(f"build_h needs a p-adic-valued function, got {f.codomain!r}")
     if weights not in (WEIGHTS_PROOF, WEIGHTS_PAPER):
         raise ConfigError(f"unknown weight convention {weights!r}")
     p, n, K = f.p, f.n, f.K
+    fn = f._fn
     table = {}
+    scalars = {}
     for zdig, X in _points_in_order(p, n, K):
-        value = f(X)
+        value = fn(X)
+        # Checked before the lookup: a plain tuple equal to a cached value
+        # would otherwise pass.
         if not isinstance(value, TruncatedPadicInt):
             raise CodomainMismatch(
                 f"p-adic function returned {type(value).__name__}, expected TruncatedPadicInt"
             )
+        scalar = scalars.get(value)
+        if scalar is None:
+            scalar = scalars[value] = PadicScalar.from_padic_int(value)
         key = (0,) + zdig if weights == WEIGHTS_PAPER else zdig
-        table[key] = PadicScalar.from_padic_int(value)
+        table[key] = scalar
     return HFunction(p, n, K, weights, table)
 
 

@@ -40,6 +40,7 @@ from .core import (
 from .errors import ConfigError, NonPrimeModulus, SizeLimitExceeded, TableFormatError
 from .interleave import InterleavedPadic, deinterleave, interleave
 from .superposition import (
+    EXHAUSTIVE_LIMIT,
     PADIC,
     REAL,
     WEIGHTS_PAPER,
@@ -65,9 +66,6 @@ __all__ = [
 
 SUITES = ("roundtrip", "theorem1", "theorem2", "lemma1", "lemma2", "holder", "extension")
 
-# Full enumeration is used while the case count stays within this bound.
-EXHAUSTIVE_LIMIT = 10**6
-
 # Fixed digit count for the sampled pair-distance bound check.
 LEMMA1_LEVEL = 8
 
@@ -75,7 +73,9 @@ LEMMA1_LEVEL = 8
 class RunConfig:
     """Parameters of one verification run."""
 
-    __slots__ = ("p", "n", "K", "suite", "function", "samples", "seed", "output", "weights")
+    __slots__ = (
+        "p", "n", "K", "suite", "function", "samples", "seed", "output", "weights", "table",
+    )
 
     def __init__(
         self,
@@ -88,6 +88,7 @@ class RunConfig:
         seed: int = 0,
         output: str | None = None,
         weights: str = WEIGHTS_PROOF,
+        table: str | None = None,
     ):
         if not is_prime(p):
             raise ConfigError(f"p must be prime, got {p}")
@@ -101,6 +102,8 @@ class RunConfig:
             raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES + ('all',)}")
         if weights not in (WEIGHTS_PROOF, WEIGHTS_PAPER):
             raise ConfigError(f"weights must be 'proof' or 'paper', got {weights!r}")
+        if function is not None and table is not None:
+            raise ConfigError("give a function or a table, not both")
         self.p = p
         self.n = n
         self.K = K
@@ -110,6 +113,7 @@ class RunConfig:
         self.seed = seed
         self.output = output
         self.weights = weights
+        self.table = table
 
     def selected_suites(self):
         return SUITES if self.suite == "all" else (self.suite,)
@@ -169,7 +173,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
             "p": config.p,
             "n": config.n,
             "K": config.K,
-            "function": config.function,
+            "function": config.function if config.table is None else config.table,
             "samples": config.samples,
             "seed": config.seed,
             "weights": config.weights,
@@ -255,17 +259,8 @@ def _suite_roundtrip(cfg, rng):
     return sum(breakdown.values()), breakdown, failures
 
 
-def _require_table_affordable(cfg):
-    size = cfg.p ** (cfg.n * cfg.K)
-    if size > EXHAUSTIVE_LIMIT:
-        raise ConfigError(
-            f"p**(n*K) = {size} exceeds the table limit {EXHAUSTIVE_LIMIT}"
-        )
-
-
 def _suite_theorem1(cfg, rng):
-    _require_table_affordable(cfg)
-    f = resolve_function(cfg.function or "norm-product", cfg, REAL)
+    f = _suite_function(cfg, "norm-product", REAL)
     G = build_g(f)
     p, n, K = cfg.p, cfg.n, cfg.K
     failures = []
@@ -287,8 +282,7 @@ def _suite_theorem1(cfg, rng):
 
 
 def _suite_theorem2(cfg, rng):
-    _require_table_affordable(cfg)
-    f = resolve_function(cfg.function or "padic-sum", cfg, PADIC)
+    f = _suite_function(cfg, "padic-sum", PADIC)
     H = build_h(f, cfg.weights)
     p, n, K = cfg.p, cfg.n, cfg.K
     failures = []
@@ -430,8 +424,7 @@ def _suite_holder(cfg, rng):
 
 
 def _suite_extension(cfg, rng):
-    _require_table_affordable(cfg)
-    f = resolve_function(cfg.function or "norm-product", cfg, REAL)
+    f = _suite_function(cfg, "norm-product", REAL)
     G = build_g(f)
     failures = []
     quarter = Fraction(1, 4)
@@ -465,9 +458,22 @@ _SUITE_FNS = {
 }
 
 
-def resolve_function(spec: str, cfg: RunConfig, codomain: str) -> CylinderFunction:
-    """Turn a builtin name or a JSON table path into a CylinderFunction."""
-    if spec.endswith(".json") or os.path.sep in spec:
+def _suite_function(cfg, default, codomain):
+    """The function a table suite checks: ``cfg.table``, else ``cfg.function`` or default."""
+    if cfg.table is not None:
+        return resolve_function(cfg.table, cfg, codomain, table=True)
+    return resolve_function(cfg.function or default, cfg, codomain)
+
+
+def resolve_function(
+    spec: str, cfg: RunConfig, codomain: str, table: bool = False
+) -> CylinderFunction:
+    """Turn a builtin name or a JSON table path into a CylinderFunction.
+
+    With ``table`` set, spec is always a path.  Otherwise it is one when it
+    ends in ``.json`` or holds a path separator, and a builtin name if not.
+    """
+    if table or spec.endswith(".json") or os.path.sep in spec:
         f = load_table_json(spec)
         if (f.p, f.n, f.K) != (cfg.p, cfg.n, cfg.K):
             raise ConfigError(

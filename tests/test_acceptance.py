@@ -361,10 +361,11 @@ def test_criterion_8_refinement_coherence():
     for f in functions:
         G_coarse = build_g(f)
         G_fine = build_g(f.lift(K + 1))
+        fine = G_fine.table
         for key, value in G_coarse.table.items():
             for ext in product(allowed, repeat=n):
                 cases += 1
-                if G_fine.table[key + ext] != value:
+                if fine[key + ext] != value:
                     failures += 1
             cases += 1
             if eval_g(G_fine, cantor_to_rational(CantorValue(p, n, key))) != value:

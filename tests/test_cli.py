@@ -271,6 +271,73 @@ class TestVerifyCommand:
         assert out == []
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_table_flag_always_reads_a_file(self, capsys, tmp_path, monkeypatch):
+        # Neither a .json suffix nor a path separator: still a table file.
+        monkeypatch.chdir(tmp_path)
+        entries = [
+            {"x": [list(c) for c in key], "value": float(i)}
+            for i, key in enumerate(table_keys(2, 2, 2))
+        ]
+        (tmp_path / "realtab").write_text(
+            json.dumps({"p": 2, "n": 2, "K": 2, "codomain": "real", "entries": entries})
+        )
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "--p", "2", "--n", "2", "--K", "2",
+            "--suite", "theorem1",
+            "--table", "realtab",
+            "--out", "report.json",
+        )
+        assert code == 0
+        assert out[0] == "suite=theorem1 cases=16 failures=0 passed=True"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["params"]["function"] == "realtab"
+
+    def test_table_flag_never_names_a_builtin(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--p", "2", "--n", "2", "--K", "2",
+            "--suite", "theorem1",
+            "--table", "norm-product",
+        )
+        assert code == 2
+        assert out == []
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "norm-product" in err and "builtin" not in err
+
+
+# A 20-digit coordinate, for the commands whose level is K = 20.
+COORD_K20 = "2:20:" + ",".join(["1"] * 20)
+
+
+class TestSizeLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-g", "--p", "2", "--n", "2", "--K", "20", "--function", "norm-product",
+             "--out", "g.json"],
+            ["build-h", "--p", "2", "--n", "2", "--K", "20", "--function", "padic-sum",
+             "--out", "h.json"],
+            ["superpose", "--p", "2", "--n", "2", "--K", "20", "--function", "padic-sum",
+             "--coord", COORD_K20, "--coord", COORD_K20],
+            ["superpose", "--p", "2", "--n", "2", "--K", "20", "--function", "norm-product",
+             "--coord", COORD_K20, "--coord", COORD_K20],
+        ],
+    )
+    def test_too_large_table_is_refused_at_once(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceeds the table limit" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):

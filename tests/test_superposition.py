@@ -1,6 +1,7 @@
 """Representative construction and the exact superposition identities."""
 
 import random
+import time
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import product
@@ -14,17 +15,22 @@ from padic_kas import (
     CylinderFunction,
     DimensionMismatch,
     DomainViolation,
+    EXHAUSTIVE_LIMIT,
+    InterleavedPadic,
     PadicScalar,
     PrecisionMismatch,
+    SizeLimitExceeded,
     TableFormatError,
     TruncatedPadicInt,
     WEIGHTS_PAPER,
+    WEIGHTS_PROOF,
     build_g,
     build_h,
     cantor_decode,
     cantor_encode,
     cantor_to_rational,
     combine,
+    deinterleave,
     eval_g,
     extract,
     gap_intervals,
@@ -35,9 +41,12 @@ from padic_kas import (
     padic_add,
     padic_from_int,
     padic_norm,
+    padic_sub,
     superpose1,
     superpose2,
 )
+
+from padic_kas import superposition, verify
 
 from helpers import (
     all_points,
@@ -515,9 +524,131 @@ class TestRefinementCoherence:
         ):
             G_coarse = build_g(f)
             G_fine = build_g(f.lift(K + 1))
+            fine = G_fine.table
             allowed = (0, 2)
             for key, value in G_coarse.table.items():
                 for ext in product(allowed, repeat=n):
-                    assert G_fine.table[key + ext] == value
+                    assert fine[key + ext] == value
                 t = cantor_to_rational(CantorValue(p, n, key))
                 assert eval_g(G_fine, t) == value
+
+
+# Every (p, n, K) with p in {2, 3, 5}, n in {1, 2, 3} and p**(n*K) <= 729.
+SMALL_SPACES = [
+    (p, n, K)
+    for p in (2, 3, 5)
+    for n in (1, 2, 3)
+    for K in range(1, 10)
+    if p ** (n * K) <= 729
+]
+
+
+def reference_points(p, n, K):
+    """(zdig, X) in product order of zdig, with X the de-interleave of zdig."""
+    for zdig in product(range(p), repeat=n * K):
+        yield zdig, deinterleave(InterleavedPadic(TruncatedPadicInt(p, n * K, zdig), n))
+
+
+def padic_functions(p, n, K, rng):
+    fs = [CylinderFunction.from_builtin("zero", p, n, K, codomain="padic")]
+    fs.append(CylinderFunction.from_builtin("padic-sum", p, n, K))
+    fs += [CylinderFunction.from_builtin(f"proj-{k}", p, n, K) for k in range(1, n + 1)]
+    fs.append(random_padic_table(p, n, K, rng))
+    # A fresh but equal value at every call.
+    fs.append(CylinderFunction.from_callable(
+        p, n, K, "padic", lambda X: padic_sub(X.coords[0], X.coords[-1])
+    ))
+    if K > 1:
+        fs.append(CylinderFunction.from_builtin("padic-sum", p, n, K - 1).lift(K))
+        fs.append(random_padic_table(p, n, K - 1, rng).lift(K))
+    return fs
+
+
+def real_functions(p, n, K, rng):
+    fs = [CylinderFunction.from_builtin("zero", p, n, K)]
+    fs.append(CylinderFunction.from_builtin("norm-product", p, n, K))
+    fs += [CylinderFunction.from_builtin(f"norm-{k}", p, n, K) for k in range(1, n + 1)]
+    fs += [CylinderFunction.from_builtin(f"digit0-{k}", p, n, K) for k in range(1, n + 1)]
+    fs.append(random_real_table(p, n, K, rng))
+    fs.append(CylinderFunction.from_callable(
+        p, n, K, "real", lambda X: sum(c.to_int() for c in X.coords)
+    ))
+    if K > 1:
+        fs.append(CylinderFunction.from_builtin("norm-product", p, n, K - 1).lift(K))
+        fs.append(random_real_table(p, n, K - 1, rng).lift(K))
+    return fs
+
+
+class TestTabulationMatchesPointwiseEvaluation:
+    """build_g and build_h against f(X) evaluated at every point, checks and all."""
+
+    @pytest.mark.parametrize("p,n,K", SMALL_SPACES)
+    def test_build_h(self, p, n, K):
+        rng = random.Random(p * 100 + n * 10 + K)
+        for f in padic_functions(p, n, K, rng):
+            for weights in (WEIGHTS_PROOF, WEIGHTS_PAPER):
+                expected = [
+                    ((0,) + zdig if weights == WEIGHTS_PAPER else zdig,
+                     PadicScalar.from_padic_int(f(X)))
+                    for zdig, X in reference_points(p, n, K)
+                ]
+                assert list(build_h(f, weights).table.items()) == expected, (f, weights)
+
+    @pytest.mark.parametrize("p,n,K", SMALL_SPACES)
+    def test_build_g(self, p, n, K):
+        rng = random.Random(p * 100 + n * 10 + K)
+        for f in real_functions(p, n, K, rng):
+            expected = [float(f(X)) for _, X in reference_points(p, n, K)]
+            assert build_g(f).values == expected, f
+
+    def test_equal_values_share_one_scalar(self):
+        f = CylinderFunction.from_builtin("proj-1", 3, 2, 2)
+        scalars = list(build_h(f).table.values())
+        assert len({id(s) for s in scalars}) == len(set(scalars)) == 9
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_plain_tuple_value_is_rejected(self, first):
+        # The tuple equals a value build_h has already seen; it must still
+        # fail the type check rather than hit that value's scalar.
+        zero = TruncatedPadicInt(2, 2, (0, 0))
+        assert tuple(zero) == zero
+        calls = []
+
+        def fn(X):
+            calls.append(X)
+            return tuple(zero) if first or len(calls) > 1 else zero
+
+        f = CylinderFunction.from_callable(2, 1, 2, "padic", fn)
+        with pytest.raises(CodomainMismatch):
+            build_h(f)
+        assert len(calls) == (1 if first else 2)
+
+
+class TestTableSizeLimit:
+    def test_limit_is_one_constant(self):
+        assert verify.EXHAUSTIVE_LIMIT is superposition.EXHAUSTIVE_LIMIT is EXHAUSTIVE_LIMIT
+
+    @pytest.mark.parametrize("p,L", [(2, 19), (3, 12), (999983, 1)])
+    def test_tables_up_to_the_limit_pass(self, p, L):
+        superposition._require_table_size(p, L)
+
+    @pytest.mark.parametrize("p,L", [(2, 20), (3, 13), (1000003, 1)])
+    def test_larger_tables_are_refused(self, p, L):
+        with pytest.raises(SizeLimitExceeded):
+            superposition._require_table_size(p, L)
+
+    def test_a_huge_exponent_is_refused_at_once(self):
+        # 3**(2 * 10**7) has about 32 million bits; the check never builds it.
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded):
+            superposition._require_table_size(3, 2 * 10**7)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("build,codomain", [(build_g, "real"), (build_h, "padic")])
+    def test_builders_refuse_before_any_work(self, build, codomain):
+        # 2**20 entries, just over the limit, from 20 one-digit coordinates.
+        calls = []
+        f = CylinderFunction.from_callable(2, 20, 1, codomain, calls.append)
+        with pytest.raises(SizeLimitExceeded):
+            build(f)
+        assert calls == []

@@ -116,6 +116,28 @@ class TestTheoremSuites:
         )
         assert report.passed
 
+    def test_table_field_is_always_a_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        entries = [
+            {"x": [list(c) for c in key], "value": float(i)}
+            for i, key in enumerate(table_keys(2, 2, 1))
+        ]
+        (tmp_path / "norm-product").write_text(
+            json.dumps({"p": 2, "n": 2, "K": 1, "codomain": "real", "entries": entries})
+        )
+        report = run_verify(RunConfig(p=2, n=2, K=1, suite="theorem1", table="norm-product"))
+        assert report.passed
+        assert report.params["function"] == "norm-product"
+        # The same name as a function is the builtin, which reads no file.
+        (tmp_path / "norm-product").unlink()
+        assert run_verify(
+            RunConfig(p=2, n=2, K=1, suite="theorem1", function="norm-product")
+        ).passed
+
+    def test_function_and_table_are_exclusive(self):
+        with pytest.raises(ConfigError):
+            RunConfig(p=2, n=2, K=1, function="norm-product", table="f.json")
+
     def test_table_parameter_mismatch(self, tmp_path):
         path = tmp_path / "f.json"
         entries = [
