@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
-from operator import attrgetter
+from operator import attrgetter, getitem
 
 from .cantor import gap_intervals
 from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
@@ -78,12 +78,14 @@ class CylinderFunction:
 
     The body is either a total table over all p**(n*K) digit-tuples or a
     callable; builtins cover the common test functions.  Calling the object
-    with a :class:`PadicPoint` evaluates it.
+    with a :class:`PadicPoint` evaluates it.  A table is stored as
+    ``values``, in index order: ``values[i]`` is the value at the point
+    whose interleaved digits read i in base p (see :func:`_dilations`).
     """
 
-    __slots__ = ("p", "n", "K", "codomain", "name", "table", "_fn")
+    __slots__ = ("p", "n", "K", "codomain", "name", "values", "_fn")
 
-    def __init__(self, p, n, K, codomain, fn, name, table=None):
+    def __init__(self, p, n, K, codomain, fn, name, values=None):
         if not is_prime(p):
             raise NonPrimeModulus(f"modulus {p} is not prime")
         if n < 1:
@@ -97,7 +99,7 @@ class CylinderFunction:
         self.K = K
         self.codomain = codomain
         self.name = name
-        self.table = table
+        self.values = values
         self._fn = fn
 
     def __repr__(self):
@@ -109,6 +111,18 @@ class CylinderFunction:
     def __call__(self, X: PadicPoint):
         _check_point(X, self)
         return self._fn(X)
+
+    @property
+    def table(self):
+        """The table keyed by n-tuples of K-digit tuples, in index order, or None."""
+        if self.values is None:
+            return None
+        n = self.n
+        keys = (
+            tuple(zdig[k::n] for k in range(n))
+            for zdig in product(range(self.p), repeat=n * self.K)
+        )
+        return dict(zip(keys, self.values))
 
     @classmethod
     def from_builtin(cls, name, p, n, K, codomain=None):
@@ -130,20 +144,23 @@ class CylinderFunction:
 
         Keys are n-tuples of little-endian K-digit tuples.  The mapping must
         cover all p**(n*K) inputs; real values must be finite, p-adic values
-        must share p and K.
+        must share p and K.  A table over more than EXHAUSTIVE_LIMIT inputs
+        is refused before any key is read.
         """
-        table = {}
+        _require_table_size(p, n * K)
+        dil = _dilations(p, n, K)
+        size = p ** (n * K)
+        values = [None] * size
         for key, value in entries.items():
-            table[_check_key(key, p, n, K)] = _check_value(value, codomain, p, K)
-        if len(table) != p ** (n * K):
-            raise TableFormatError(
-                f"table has {len(table)} entries, expected {p ** (n * K)}"
-            )
+            values[_check_key(key, p, n, K, dil)] = _check_value(value, codomain, p, K)
+        missing = values.count(None)
+        if missing:
+            raise TableFormatError(f"table has {size - missing} entries, expected {size}")
 
-        def fn(X, _table=table):
-            return _table[tuple(map(_digits, X.coords))]
+        def fn(X, _values=values):
+            return _values[sum(map(getitem, dil, map(_digits, X.coords)))]
 
-        return cls(p, n, K, codomain, fn, name, table=table)
+        return cls(p, n, K, codomain, fn, name, values=values)
 
     @classmethod
     def from_callable(cls, p, n, K, codomain, fn, name="<callable>"):
@@ -182,17 +199,25 @@ def _check_point(X, F):
             raise PrecisionMismatch(f"coordinate ({c.p}, K={c.K}) does not match ({F.p}, K={F.K})")
 
 
-def _check_key(key, p, n, K):
-    key = tuple(tuple(int(d) for d in coord) for coord in key)
+def _check_key(key, p, n, K, dil):
+    """Raise unless key is n coordinates of K digits in [0, p); return its index.
+
+    The dilation dicts hold exactly the valid coordinates, so a key that
+    they all accept is valid; the digit checks only name the fault.
+    """
+    key = tuple(tuple(map(int, coord)) for coord in key)
     if len(key) != n:
         raise TableFormatError(f"key {key} has {len(key)} coordinates, expected {n}")
+    try:
+        return sum(map(getitem, dil, key))
+    except KeyError:
+        pass
     for coord in key:
         if len(coord) != K:
             raise TableFormatError(f"key {key} has a {len(coord)}-digit coordinate, expected {K}")
         for d in coord:
             if d < 0 or d >= p:
                 raise TableFormatError(f"key {key} digit {d} not in [0, {p - 1}]")
-    return key
 
 
 def _check_value(value, codomain, p, K):
@@ -308,16 +333,37 @@ class GFunction:
         return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
 
 
-def _require_table_size(p, L):
+def _require_table_size(p, L, exponent="(n*K)"):
     """Raise unless a table over all p**L digit tuples fits under EXHAUSTIVE_LIMIT.
 
     p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
-    without computing the power.
+    without computing the power.  ``exponent`` names L in the message.
     """
     if L >= EXHAUSTIVE_LIMIT.bit_length() or p**L > EXHAUSTIVE_LIMIT:
         raise SizeLimitExceeded(
-            f"p**(n*K) = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
+            f"p**{exponent} = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
         )
+
+
+@lru_cache(maxsize=16)
+def _dilations(p, n, K):
+    """One dict per coordinate: its K-digit tuple -> its share of the index.
+
+    The index of a point reads its interleaved digits zdig in base p, most
+    significant first.  Digit m of coordinate k sits at zdig[m*n + k], so
+    the coordinate adds d_m * p**(n*K - 1 - m*n - k) for each m: its digits
+    "dilated" n-fold, shifted by n - 1 - k.  The index of X is
+    ``sum(map(getitem, dil, map(_digits, X.coords)))``.  The cached dicts
+    are shared by every caller, which only reads them.
+    """
+    pn = p**n
+    shares = [0]
+    for _ in range(K):
+        shares = [s * pn + d for s in shares for d in range(p)]
+    keys = list(product(range(p), repeat=K))
+    return tuple(
+        dict(zip(keys, [s * p ** (n - 1 - k) for s in shares])) for k in range(n)
+    )
 
 
 def _points_in_order(p, n, K):
@@ -337,11 +383,14 @@ def _points_in_order(p, n, K):
 def build_g(f: CylinderFunction) -> GFunction:
     """Tabulate f on every level-nK codec interval, in increasing order.
 
-    The points are the library's own, at f's p, n and K, so f's body is
-    called on them without the point check.
+    A table-backed f is already in this order, so its values are copied.
+    Otherwise the points are the library's own, at f's p, n and K, so f's
+    body is called on them without the point check.
     """
     if f.codomain != REAL:
         raise CodomainMismatch(f"build_g needs a real-valued function, got {f.codomain!r}")
+    if f.values is not None:
+        return GFunction(f.p, f.n, f.K, f.values.copy())
     fn = f._fn
     values = [float(fn(X)) for _, X in _points_in_order(f.p, f.n, f.K)]
     return GFunction(f.p, f.n, f.K, values)
@@ -392,12 +441,8 @@ def superpose1(G: GFunction, X: PadicPoint) -> float:
     lies in the interval whose index has base-p digit (x_{k+1})_j there.
     """
     _check_point(X, G)
-    p = G.p
-    i = 0
-    for column in zip(*(c.digits for c in X.coords)):
-        for d in column:
-            i = i * p + d
-    return G.values[i]
+    dil = _dilations(G.p, G.n, G.K)
+    return G.values[sum(map(getitem, dil, map(_digits, X.coords)))]
 
 
 class HFunction:
@@ -432,20 +477,25 @@ class HFunction:
 def build_h(f: CylinderFunction, weights: str = WEIGHTS_PROOF) -> HFunction:
     """Tabulate f against the digit de-interleave of every nK-digit prefix.
 
-    f's body is called on the library's own points without the point check.
-    Each distinct value becomes one :class:`PadicScalar`, which every entry
-    holding that value shares.
+    A table-backed f's values are read in their index order, which is the
+    product order of the prefixes; otherwise f's body is called on the
+    library's own points without the point check.  Each distinct value
+    becomes one :class:`PadicScalar`, which every entry holding that value
+    shares.
     """
     if f.codomain != PADIC:
         raise CodomainMismatch(f"build_h needs a p-adic-valued function, got {f.codomain!r}")
     if weights not in (WEIGHTS_PROOF, WEIGHTS_PAPER):
         raise ConfigError(f"unknown weight convention {weights!r}")
     p, n, K = f.p, f.n, f.K
-    fn = f._fn
+    if f.values is not None:
+        pairs = zip(product(range(p), repeat=n * K), f.values)
+    else:
+        fn = f._fn
+        pairs = ((zdig, fn(X)) for zdig, X in _points_in_order(p, n, K))
     table = {}
     scalars = {}
-    for zdig, X in _points_in_order(p, n, K):
-        value = fn(X)
+    for zdig, value in pairs:
         # Checked before the lookup: a plain tuple equal to a cached value
         # would otherwise pass.
         if not isinstance(value, TruncatedPadicInt):

@@ -37,7 +37,7 @@ from .core import (
     parse_padic,
     point_distance,
 )
-from .errors import ConfigError, NonPrimeModulus, SizeLimitExceeded, TableFormatError
+from .errors import ConfigError, NonPrimeModulus, TableFormatError
 from .interleave import InterleavedPadic, deinterleave, interleave
 from .superposition import (
     EXHAUSTIVE_LIMIT,
@@ -46,6 +46,7 @@ from .superposition import (
     WEIGHTS_PAPER,
     WEIGHTS_PROOF,
     CylinderFunction,
+    _require_table_size,
     build_g,
     build_h,
     eval_g,
@@ -560,8 +561,7 @@ def emit_cantor_csv(p: int, n: int, L: int, path: str) -> int:
     """
     if not is_prime(p):
         raise NonPrimeModulus(f"modulus {p} is not prime")
-    if p**L > EXHAUSTIVE_LIMIT:
-        raise SizeLimitExceeded(f"p**L = {p**L} exceeds the limit {EXHAUSTIVE_LIMIT}")
+    _require_table_size(p, L, "L")
     import csv
 
     lefts = interval_left_endpoints(p, n, L)

@@ -351,6 +351,19 @@ class TestEmitCantorCommand:
         assert code == 0
         assert out == [f"wrote 4 rows to {out_path}"]
 
+    def test_huge_level_is_refused_at_once(self, capsys, tmp_path, monkeypatch):
+        # 3**3000000 has over a million decimal digits; the check never builds it.
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "emit-cantor", "--p", "3", "--n", "2", "--L", "3000000", "--out", "c.csv"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err == "error: p**L = 3**3000000 exceeds the table limit 1000000\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestModulusFlagMustMatchLiterals:
     @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from padic_kas import (
     DimensionMismatch,
     DomainViolation,
     EXHAUSTIVE_LIMIT,
+    GFunction,
     InterleavedPadic,
     PadicScalar,
     PrecisionMismatch,
@@ -622,6 +623,113 @@ class TestTabulationMatchesPointwiseEvaluation:
         with pytest.raises(CodomainMismatch):
             build_h(f)
         assert len(calls) == (1 if first else 2)
+
+
+def key_of(X):
+    """The table key of a point: its coordinates' digit tuples."""
+    return tuple(c.digits for c in X.coords)
+
+
+def superpose1_per_digit(G, X):
+    """superpose1 as one base-p Horner step per interleaved digit."""
+    i = 0
+    for column in zip(*(c.digits for c in X.coords)):
+        for d in column:
+            i = i * G.p + d
+    return G.values[i]
+
+
+class TestIndexOrderedTables:
+    """from_table stores values in the order build_g and build_h emit them."""
+
+    @pytest.mark.parametrize("p,n,K", SMALL_SPACES)
+    def test_values_follow_the_interleaved_digit_order(self, p, n, K):
+        rng = random.Random(p * 100 + n * 10 + K)
+        real = {key: rng.random() for key in table_keys(p, n, K)}
+        padic = {
+            key: TruncatedPadicInt(p, K, tuple(rng.randrange(p) for _ in range(K)))
+            for key in table_keys(p, n, K)
+        }
+        for codomain, entries in (("real", real), ("padic", padic)):
+            f = CylinderFunction.from_table(p, n, K, codomain, entries)
+            points = [X for _, X in reference_points(p, n, K)]
+            assert f.values == [entries[key_of(X)] for X in points]
+            assert f.values == [f(X) for X in points]
+            assert f.table == entries
+            assert list(f.table) == [key_of(X) for X in points]
+
+    def test_functions_without_a_table_have_none(self):
+        f = CylinderFunction.from_builtin("norm-product", 2, 2, 2)
+        assert f.values is None and f.table is None
+        assert random_real_table(2, 2, 2, random.Random(1)).lift(3).table is None
+
+    def test_build_g_copies_the_values(self):
+        f = random_real_table(3, 2, 2, random.Random(2))
+        before = list(f.values)
+        X = next(reference_points(3, 2, 2))[1]
+        G = build_g(f)
+        assert G.values == before and G.values is not f.values
+        G.values[0] = -1.0
+        G.values.append(2.0)
+        assert f.values == before
+        assert f(X) == before[0]
+        assert build_g(f).values == before
+
+    def test_build_h_does_not_alias_the_table(self):
+        f = random_padic_table(2, 2, 2, random.Random(3))
+        before = list(f.values)
+        H = build_h(f)
+        H.table.clear()
+        assert f.values == before
+        assert len(build_h(f).table) == 16
+
+    @pytest.mark.parametrize("p,n,K", SMALL_SPACES)
+    def test_superpose1_matches_the_per_digit_index(self, p, n, K):
+        # Distinct values, so any wrong index shows.
+        G = GFunction(p, n, K, [float(i) for i in range(p ** (n * K))])
+        G_table = build_g(random_real_table(p, n, K, random.Random(p + n + K)))
+        for _, X in reference_points(p, n, K):
+            assert superpose1(G, X) == superpose1_per_digit(G, X)
+            assert superpose1(G_table, X) == superpose1_per_digit(G_table, X)
+
+    def test_missing_key(self):
+        entries = {k: 0.0 for k in table_keys(2, 2, 2)}
+        del entries[((1, 0), (0, 1))]
+        with pytest.raises(TableFormatError, match="has 15 entries, expected 16"):
+            CylinderFunction.from_table(2, 2, 2, "real", entries)
+
+    def test_wrong_length_coordinate(self):
+        entries = {k: 0.0 for k in table_keys(2, 2, 2)}
+        entries[((1, 0, 0), (0, 1))] = 1.0
+        with pytest.raises(TableFormatError, match="3-digit coordinate"):
+            CylinderFunction.from_table(2, 2, 2, "real", entries)
+
+    def test_wrong_number_of_coordinates(self):
+        entries = {k + ((0,),): 0.0 for k in table_keys(2, 2, 1)}
+        with pytest.raises(TableFormatError, match="3 coordinates, expected 2"):
+            CylinderFunction.from_table(2, 2, 1, "real", entries)
+
+    def test_out_of_range_digit(self):
+        entries = {k: 0.0 for k in table_keys(3, 2, 1)}
+        entries[((3,), (0,))] = 1.0
+        with pytest.raises(TableFormatError, match="digit 3 not in"):
+            CylinderFunction.from_table(3, 2, 1, "real", entries)
+
+    def test_keys_that_collapse_leave_a_gap(self):
+        # ("0",) and (0.0,) are the key (0,) once the digits go through int().
+        entries = {(("0",),): 0.0, ((0.0,),): 1.0}
+        with pytest.raises(TableFormatError, match="has 1 entries, expected 2"):
+            CylinderFunction.from_table(2, 1, 1, "real", entries)
+
+    def test_keys_that_collapse_keep_the_last_value(self):
+        entries = {((0,),): 0.0, ((1,),): 1.0, (("1",),): 2.0}
+        f = CylinderFunction.from_table(2, 1, 1, "real", entries)
+        assert f.values == [0.0, 2.0]
+
+    def test_oversized_table_is_refused_before_any_key(self):
+        # 2**20 inputs, just over the limit; the bad key is never read.
+        with pytest.raises(SizeLimitExceeded):
+            CylinderFunction.from_table(2, 20, 1, "real", {"not a key": 0.0})
 
 
 class TestTableSizeLimit:
