@@ -17,12 +17,13 @@ Both identities are exact at precision K for every input, never approximate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
 from operator import attrgetter, getitem
 
-from .cantor import gap_intervals
+from .cantor import gap_intervals, interval_numerators
 from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
 from .errors import (
     CodomainMismatch,
@@ -333,13 +334,21 @@ class GFunction:
         return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
 
 
+def _table_fits(p, L):
+    """Whether all p**L digit tuples fit under EXHAUSTIVE_LIMIT.
+
+    p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
+    without computing the power.
+    """
+    return L < EXHAUSTIVE_LIMIT.bit_length() and p**L <= EXHAUSTIVE_LIMIT
+
+
 def _require_table_size(p, L, exponent="(n*K)"):
     """Raise unless a table over all p**L digit tuples fits under EXHAUSTIVE_LIMIT.
 
-    p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
-    without computing the power.  ``exponent`` names L in the message.
+    ``exponent`` names L in the message.
     """
-    if L >= EXHAUSTIVE_LIMIT.bit_length() or p**L > EXHAUSTIVE_LIMIT:
+    if not _table_fits(p, L):
         raise SizeLimitExceeded(
             f"p**{exponent} = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
         )
@@ -399,39 +408,43 @@ def build_g(f: CylinderFunction) -> GFunction:
 def eval_g(G: GFunction, t) -> float:
     """Evaluate the extended function at a rational t in [0,1].
 
-    The base-q digits of t * q**L are read from the top.  If all are
-    multiples of n, t lies in the closed interval they number (the right one
-    where two meet, n = 1) and its value is returned unchanged.  The first
-    other digit puts t in a gap: its left end keeps the left interval's
+    t lies in the closed interval or the gap that :func:`_eval_g_ratio`
+    finds.  An interval's value is returned unchanged (the right interval's
+    where two meet, n = 1); a gap's left end keeps the left interval's
     value, and inside it the neighbours are blended linearly in exact
     rational arithmetic, rounded to float once.
     """
-    t = Fraction(t)
-    if t < 0 or t > 1:
+    if type(t) is not Fraction:
+        t = Fraction(t)
+    num, den = t.numerator, t.denominator
+    if num < 0 or num > den:
         raise DomainViolation(f"{t} is outside [0, 1]")
-    p, n, q, L, values = G.p, G.n, G.q, G.L, G.values
-    scale = q**L
-    m, r = divmod(t.numerator * scale, t.denominator)
-    if m == scale:
-        return values[-1]
-    i = 0
-    for rest in range(L - 1, -1, -1):
-        scale //= q
-        d, m = divmod(m, scale)
-        j, off = divmod(d, n)
-        if off:
-            # In units of q**-L, gap gi is (n - 1)*scale wide and t lies
-            # offset + r/den above its left end.
-            gi = (i * p + j + 1) * p**rest - 1
-            offset = (off - 1) * scale + m
-            if not offset and not r:
-                return values[gi]
-            va, vb = values[gi], values[gi + 1]
-            den = t.denominator
-            theta = Fraction(offset * den + r, (n - 1) * scale * den)
-            return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
-        i = i * p + j
-    return values[i]
+    return _eval_g_ratio(G, num, den)
+
+
+# One list holds p**(n*K) ints, up to EXHAUSTIVE_LIMIT of them, so only a
+# few levels stay cached.
+_interval_numerators = lru_cache(maxsize=4)(interval_numerators)
+
+
+def _eval_g_ratio(G, num, den):
+    """eval_g at t = num/den, for 0 <= num <= den; the ratio need not be reduced.
+
+    In units of q**-L, interval i is [nums[i], nums[i] + 1] and gap i is
+    (nums[i] + 1, nums[i + 1]).  With t * q**L = m + r/den, bisecting the
+    numerators for m finds the interval i at or left of t, and t lies
+    offset + r/den above its right end: inside gap i if that is positive.
+    """
+    p, n, L, values = G.p, G.n, G.n * G.K, G.values
+    m, r = divmod(num * (n * (p - 1) + 1) ** L, den)
+    nums = _interval_numerators(p, n, L)
+    i = bisect_right(nums, m) - 1
+    offset = m - nums[i] - 1
+    if offset < 0 or (offset == 0 and r == 0):
+        return values[i]
+    va, vb = values[i], values[i + 1]
+    theta = Fraction(offset * den + r, (nums[i + 1] - nums[i] - 1) * den)
+    return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
 
 
 def superpose1(G: GFunction, X: PadicPoint) -> float:

@@ -37,7 +37,7 @@ from .core import (
     parse_padic,
     point_distance,
 )
-from .errors import ConfigError, NonPrimeModulus, TableFormatError
+from .errors import ConfigError, NonPrimeModulus, SizeLimitExceeded, TableFormatError
 from .interleave import InterleavedPadic, deinterleave, interleave
 from .superposition import (
     EXHAUSTIVE_LIMIT,
@@ -46,10 +46,12 @@ from .superposition import (
     WEIGHTS_PAPER,
     WEIGHTS_PROOF,
     CylinderFunction,
+    _eval_g_ratio,
+    _interval_numerators,
     _require_table_size,
+    _table_fits,
     build_g,
     build_h,
-    eval_g,
     superpose1,
     superpose2,
 )
@@ -69,6 +71,11 @@ SUITES = ("roundtrip", "theorem1", "theorem2", "lemma1", "lemma2", "holder", "ex
 
 # Fixed digit count for the sampled pair-distance bound check.
 LEMMA1_LEVEL = 8
+
+# The most digits one sampled check may draw.  An exhaustive check reads at
+# most EXHAUSTIVE_LIMIT tuples of up to 19 digits, so a sampled one does
+# work of the same order.
+SAMPLE_DIGIT_LIMIT = 10**7
 
 
 class RunConfig:
@@ -189,11 +196,29 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
 def _digit_tuples(p, length, samples, rng):
     """(iterator, count): all digit tuples if affordable, else a seeded sample."""
-    total = p**length
-    if total <= EXHAUSTIVE_LIMIT:
-        return product(range(p), repeat=length), total
+    if _table_fits(p, length):
+        return product(range(p), repeat=length), p**length
+    _require_sample_size(samples, length)
     it = (tuple(rng.randrange(p) for _ in range(length)) for _ in range(samples))
     return it, samples
+
+
+def _require_sample_size(samples, digits):
+    """Raise unless ``samples`` draws of ``digits`` digits stay within SAMPLE_DIGIT_LIMIT."""
+    if samples * digits > SAMPLE_DIGIT_LIMIT:
+        raise SizeLimitExceeded(
+            f"{samples} samples of {digits} digits exceed the sampling limit "
+            f"of {SAMPLE_DIGIT_LIMIT} digits"
+        )
+
+
+def _block_coords(p, n, K, digs):
+    """The n coordinates of an n*K-digit tuple in block layout: k is digs[k*K:(k+1)*K]."""
+    return tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+
+
+def _format_coords(coords):
+    return ";".join(map(format_padic, coords))
 
 
 def _fail(failures, check, case, lhs, rhs):
@@ -216,31 +241,25 @@ def _suite_roundtrip(cfg, rng):
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
     breakdown["chain"] = count
     for digs in it:
-        coords = tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+        coords = _block_coords(p, n, K, digs)
         z = combine([cantor_encode(c, n) for c in coords])
         back = tuple(cantor_decode(extract(z, k)) for k in range(n))
         if back != coords:
             _fail(
-                failures,
-                "chain",
-                ";".join(format_padic(c) for c in coords),
-                ";".join(format_padic(c) for c in back),
-                ";".join(format_padic(c) for c in coords),
+                failures, "chain", _format_coords(coords), _format_coords(back),
+                _format_coords(coords),
             )
 
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
     breakdown["interleave_forward"] = count
     for digs in it:
-        coords = tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+        coords = _block_coords(p, n, K, digs)
         X = PadicPoint(n, coords)
         back = deinterleave(interleave(X))
         if back != X:
             _fail(
-                failures,
-                "interleave_forward",
-                ";".join(format_padic(c) for c in coords),
-                ";".join(format_padic(c) for c in back.coords),
-                ";".join(format_padic(c) for c in coords),
+                failures, "interleave_forward", _format_coords(coords),
+                _format_coords(back.coords), _format_coords(coords),
             )
 
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
@@ -267,18 +286,12 @@ def _suite_theorem1(cfg, rng):
     failures = []
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
     for digs in it:
-        coords = tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+        coords = _block_coords(p, n, K, digs)
         X = PadicPoint(n, coords)
         expected = f(X)
         got = superpose1(G, X)
         if got != expected:
-            _fail(
-                failures,
-                "theorem1",
-                ";".join(format_padic(c) for c in coords),
-                repr(got),
-                repr(expected),
-            )
+            _fail(failures, "theorem1", _format_coords(coords), repr(got), repr(expected))
     return count, {"identity": count}, failures
 
 
@@ -289,7 +302,7 @@ def _suite_theorem2(cfg, rng):
     failures = []
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
     for digs in it:
-        coords = tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+        coords = _block_coords(p, n, K, digs)
         X = PadicPoint(n, coords)
         expected = PadicScalar.from_padic_int(f(X))
         got = superpose2(H, X)
@@ -297,7 +310,7 @@ def _suite_theorem2(cfg, rng):
             _fail(
                 failures,
                 "theorem2",
-                ";".join(format_padic(c) for c in coords),
+                _format_coords(coords),
                 format_padic(got.to_padic_int(K)),
                 format_padic(expected.to_padic_int(K)),
             )
@@ -337,10 +350,10 @@ def _suite_lemma1(cfg, rng):
 
 def _pairs(p, length, samples, rng):
     """(iterator of digit-tuple pairs, count), exhaustive under the limit."""
-    total = p**length
-    if total * total <= EXHAUSTIVE_LIMIT:
+    if _table_fits(p, 2 * length):
         space = list(product(range(p), repeat=length))
-        return product(space, space), total * total
+        return product(space, space), len(space) ** 2
+    _require_sample_size(samples, 2 * length)
     it = (
         (
             tuple(rng.randrange(p) for _ in range(length)),
@@ -356,17 +369,15 @@ def _suite_lemma2(cfg, rng):
     failures = []
     it, count = _pairs(p, n * K, cfg.samples, rng)
     for da, db in it:
-        A = PadicPoint(n, tuple(TruncatedPadicInt(p, K, da[k * K : (k + 1) * K]) for k in range(n)))
-        B = PadicPoint(n, tuple(TruncatedPadicInt(p, K, db[k * K : (k + 1) * K]) for k in range(n)))
+        A = PadicPoint(n, _block_coords(p, n, K, da))
+        B = PadicPoint(n, _block_coords(p, n, K, db))
         dist = point_distance(A, B)
         img = padic_norm(padic_sub(interleave(A).value, interleave(B).value))
         if img > dist**n:
             _fail(
                 failures,
                 "lemma2",
-                ";".join(format_padic(c) for c in A.coords)
-                + "|"
-                + ";".join(format_padic(c) for c in B.coords),
+                f"{_format_coords(A.coords)}|{_format_coords(B.coords)}",
                 str(img),
                 f"{dist}**{n}",
             )
@@ -424,27 +435,40 @@ def _suite_holder(cfg, rng):
     return sum(breakdown.values()), breakdown, failures
 
 
+def _gap_case(a, b, den):
+    return f"gap ({Fraction(a, den)}, {Fraction(b, den)})"
+
+
 def _suite_extension(cfg, rng):
     f = _suite_function(cfg, "norm-product", REAL)
     G = build_g(f)
+    values = G.values
     failures = []
     quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    for a, b, va, vb in G.gaps():
-        case = f"gap ({a}, {b})"
-        if eval_g(G, a) != va:
-            _fail(failures, "gap_left_endpoint", case, repr(eval_g(G, a)), repr(va))
-        if eval_g(G, b) != vb:
-            _fail(failures, "gap_right_endpoint", case, repr(eval_g(G, b)), repr(vb))
-        mid = eval_g(G, a + (b - a) * half)
+    # Gap i is (a, b) = (nums[i] + 1, nums[i + 1]) over den = q**L, and its
+    # midpoint and quarter point are exact over 4*den.  n = 1 has no gaps.
+    den = G.q**G.L
+    nums = _interval_numerators(G.p, G.n, G.L)
+    count = len(nums) - 1 if G.n > 1 else 0
+    for i in range(count):
+        a, b = nums[i] + 1, nums[i + 1]
+        va, vb = values[i], values[i + 1]
+        got = _eval_g_ratio(G, a, den)
+        if got != va:
+            _fail(failures, "gap_left_endpoint", _gap_case(a, b, den), repr(got), repr(va))
+        got = _eval_g_ratio(G, b, den)
+        if got != vb:
+            _fail(failures, "gap_right_endpoint", _gap_case(a, b, den), repr(got), repr(vb))
+        mid = _eval_g_ratio(G, 2 * (a + b), 4 * den)
         mean = (va + vb) / 2
         if mid != mean:
-            _fail(failures, "gap_midpoint", case, repr(mid), repr(mean))
-        at_quarter = eval_g(G, a + (b - a) * quarter)
+            _fail(failures, "gap_midpoint", _gap_case(a, b, den), repr(mid), repr(mean))
+        at_quarter = _eval_g_ratio(G, 3 * a + b, 4 * den)
         expected = float(Fraction(va) + (Fraction(vb) - Fraction(va)) * quarter)
         if at_quarter != expected:
-            _fail(failures, "gap_linearity", case, repr(at_quarter), repr(expected))
-    count = len(G.gaps())
+            _fail(
+                failures, "gap_linearity", _gap_case(a, b, den), repr(at_quarter), repr(expected)
+            )
     return count, {"gaps": count}, failures
 
 

@@ -339,6 +339,23 @@ class TestSizeLimit:
         assert list(tmp_path.iterdir()) == []
 
 
+    @pytest.mark.parametrize("suite", ["roundtrip", "holder", "lemma2"])
+    def test_oversized_sampled_verify_is_refused_at_once(self, capsys, suite):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--p", "2", "--n", "2", "--K", "100000000",
+            "--samples", "10",
+            "--suite", suite,
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "exceed the sampling limit of 10000000 digits" in err
+
+
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"

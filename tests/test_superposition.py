@@ -37,6 +37,7 @@ from padic_kas import (
     gap_intervals,
     h_value,
     interval_left_endpoints,
+    interval_numerators,
     make_padic,
     make_point,
     padic_add,
@@ -393,6 +394,125 @@ class TestEvalGIndexing:
 
     def test_arity_one_has_no_gaps(self):
         assert build_g(random_real_table(5, 1, 2, random.Random(6))).gaps() == []
+
+
+def _digit_walk_eval_g(G, t):
+    """eval_g by reading the base-q digits of t * q**L from the top.
+
+    The reference for the bisect over the interval numerators: the first
+    digit that is not a multiple of n puts t in a gap.
+    """
+    t = Fraction(t)
+    p, n, q, L, values = G.p, G.n, G.q, G.L, G.values
+    scale = q**L
+    m, r = divmod(t.numerator * scale, t.denominator)
+    if m == scale:
+        return values[-1]
+    i = 0
+    for rest in range(L - 1, -1, -1):
+        scale //= q
+        d, m = divmod(m, scale)
+        j, off = divmod(d, n)
+        if off:
+            gi = (i * p + j + 1) * p**rest - 1
+            offset = (off - 1) * scale + m
+            if not offset and not r:
+                return values[gi]
+            va, vb = values[gi], values[gi + 1]
+            theta = Fraction(offset * t.denominator + r, (n - 1) * scale * t.denominator)
+            return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
+        i = i * p + j
+    return values[i]
+
+
+EXTREME_VALUES = (-0.0, 0.0, 1e300, -1e300, 5e-324, 1.7976931348623157e308, 0.1, -2.5)
+
+
+class _TaggedFraction(Fraction):
+    """A Fraction whose str differs from Fraction's."""
+
+    def __str__(self):
+        return "tagged"
+
+
+class TestEvalGBisect:
+    @pytest.mark.parametrize(
+        "p,n,K", [(2, 1, 4), (3, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 1), (5, 3, 1)]
+    )
+    def test_repr_identical_to_the_digit_walk(self, p, n, K):
+        rng = random.Random(1000 + 100 * p + 10 * n + K)
+        L = n * K
+        den = (n * (p - 1) + 1) ** L
+        G = GFunction(p, n, K, [rng.choice(EXTREME_VALUES) for _ in range(p**L)])
+        nums = interval_numerators(p, n, L)
+        points = [Fraction(a + e, den) for a in nums for e in (0, 1)]
+        for _ in range(200):
+            # A point of interval i or of the gap to its right.
+            i = rng.randrange(len(nums))
+            span = (nums[i + 1] if i + 1 < len(nums) else den) - nums[i]
+            m = rng.randrange(2, 10**6)
+            points.append(Fraction(nums[i], den) + Fraction(rng.randrange(1, m) * span, m * den))
+        for t in points:
+            assert repr(eval_g(G, t)) == repr(_digit_walk_eval_g(G, t)), t
+
+    @pytest.mark.parametrize("p,n,K", [(2, 1, 3), (2, 2, 3), (3, 2, 2), (3, 3, 1)])
+    def test_unreduced_ratio_equals_the_reduced_fraction(self, p, n, K):
+        rng = random.Random(200 + 100 * p + 10 * n + K)
+        G = build_g(random_real_table(p, n, K, rng))
+        den = G.q**G.L
+        for _ in range(300):
+            d = rng.choice((4 * den, rng.randrange(1, 10**6)))
+            t = Fraction(rng.randrange(d + 1), d)
+            c = rng.randrange(2, 50)
+            got = superposition._eval_g_ratio(G, c * t.numerator, c * t.denominator)
+            assert repr(got) == repr(eval_g(G, t)), (t, c)
+
+    def test_inputs_convert_as_fraction_converts_them(self):
+        G = build_g(random_real_table(2, 2, 2, random.Random(11)))
+        cases = [
+            (0, Fraction(0)), (1, Fraction(1)), (True, Fraction(1)), (False, Fraction(0)),
+            (0.5, Fraction(1, 2)), (0.1, Fraction(0.1)), ("1/3", Fraction(1, 3)),
+            ("0.125", Fraction(1, 8)), (_TaggedFraction(4, 9), Fraction(4, 9)),
+            (_TaggedFraction(1, 2), Fraction(1, 2)),
+        ]
+        for t, same in cases:
+            assert repr(eval_g(G, t)) == repr(eval_g(G, same)), t
+            assert repr(eval_g(G, t)) == repr(_digit_walk_eval_g(G, same)), t
+        assert eval_g(G, True) == G.values[-1]
+        assert eval_g(G, False) == G.values[0]
+
+    @pytest.mark.parametrize(
+        "t,message",
+        [
+            (-1, "-1 is outside [0, 1]"),
+            (2, "2 is outside [0, 1]"),
+            (1.5, "3/2 is outside [0, 1]"),
+            (-0.25, "-1/4 is outside [0, 1]"),
+            ("-1/3", "-1/3 is outside [0, 1]"),
+            ("5/4", "5/4 is outside [0, 1]"),
+            (_TaggedFraction(5, 4), "5/4 is outside [0, 1]"),
+            (_TaggedFraction(-1, 2), "-1/2 is outside [0, 1]"),
+        ],
+    )
+    def test_domain_violation_names_the_fraction(self, t, message):
+        G = build_g(random_real_table(2, 2, 2, random.Random(12)))
+        with pytest.raises(DomainViolation) as excinfo:
+            eval_g(G, t)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "t,error",
+        [("x", ValueError), (None, TypeError), (float("nan"), ValueError),
+         (float("inf"), OverflowError)],
+    )
+    def test_unconvertible_input_raises_as_fraction_does(self, t, error):
+        G = build_g(random_real_table(2, 2, 1, random.Random(13)))
+        with pytest.raises(error):
+            eval_g(G, t)
+
+    def test_numerators_cache_is_small_and_bounded(self):
+        maxsize = superposition._interval_numerators.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 4
 
 
 class TestSuperpose1ReadsTheIndex:

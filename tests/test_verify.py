@@ -1,7 +1,10 @@
 """Verification harness: suites, reports, table ingestion, CSV emission."""
 
 import csv
+import inspect
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,7 @@ from padic_kas import (
     parse_cantor,
     run_verify,
 )
+from padic_kas import superposition, verify
 from padic_kas.verify import resolve_function
 
 from helpers import random_padic_table, table_keys
@@ -202,6 +206,59 @@ class TestBoundSuites:
         report = run_verify(RunConfig(p=2, n=2, K=2, suite="extension"))
         assert report.passed
         assert report.breakdown["extension.gaps"] == 2**4 - 1
+
+    def test_extension_suite_catches_a_blend_that_keeps_the_left_value(self, monkeypatch):
+        # The gap blend of eval_g patched to return the left neighbour's value.
+        blend = "return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)"
+        source = inspect.getsource(superposition._eval_g_ratio)
+        assert blend in source
+        namespace = dict(vars(superposition))
+        exec(source.replace(blend, "return va"), namespace)
+        monkeypatch.setattr(verify, "_eval_g_ratio", namespace["_eval_g_ratio"])
+        report = run_verify(RunConfig(p=2, n=2, K=2, suite="extension"))
+        assert not report.passed
+        assert report.cases == 2**4 - 1
+        assert {f["check"] for f in report.failures} == {"gap_midpoint", "gap_linearity"}
+        assert report.failures[0] == {
+            "check": "gap_midpoint",
+            "input": "gap (7/81, 8/81)",
+            "lhs": "0.0",
+            "rhs": "0.125",
+        }
+
+    def test_extension_suite_has_no_gaps_at_arity_one(self):
+        report = run_verify(RunConfig(p=3, n=1, K=2, suite="extension"))
+        assert report.passed
+        assert report.breakdown == {"extension.gaps": 0}
+
+
+class TestSampledWorkIsBounded:
+    def test_exhaustive_up_to_the_table_limit(self):
+        rng = random.Random(0)
+        assert verify._digit_tuples(2, 19, 10, rng)[1] == 2**19
+        assert verify._digit_tuples(2, 20, 10, rng)[1] == 10
+        assert verify._pairs(2, 9, 10, rng)[1] == 2**18
+        assert verify._pairs(2, 10, 10, rng)[1] == 10
+
+    def test_sampled_digits_are_bounded(self):
+        rng = random.Random(0)
+        limit = verify.SAMPLE_DIGIT_LIMIT
+        assert verify._digit_tuples(2, 1000, limit // 1000, rng)[1] == limit // 1000
+        with pytest.raises(SizeLimitExceeded):
+            verify._digit_tuples(2, 1000, limit // 1000 + 1, rng)
+        assert verify._pairs(2, 1000, limit // 2000, rng)[1] == limit // 2000
+        with pytest.raises(SizeLimitExceeded):
+            verify._pairs(2, 1000, limit // 2000 + 1, rng)
+
+    def test_huge_length_never_computes_the_power(self):
+        # 3**(10**8) has about 48 million decimal digits.
+        rng = random.Random(0)
+        start = time.perf_counter()
+        assert verify._digit_tuples(3, 10**8, 0, rng)[1] == 0
+        assert verify._pairs(3, 10**8, 0, rng)[1] == 0
+        with pytest.raises(SizeLimitExceeded):
+            verify._digit_tuples(3, 10**8, 1, rng)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestResolveFunction:
