@@ -21,6 +21,7 @@ from .cantor import (
     extract,
     format_cantor,
     gap_intervals,
+    gap_numerators,
     interval_left_endpoints,
     interval_numerators,
     make_cantor,
@@ -91,6 +92,7 @@ _LAZY = {
         "h_value",
         "superpose1",
         "superpose2",
+        "table_fits",
     )
 }
 _LAZY.update(

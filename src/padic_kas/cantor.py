@@ -37,6 +37,7 @@ __all__ = [
     "cantor_to_rational",
     "interval_numerators",
     "interval_left_endpoints",
+    "gap_numerators",
     "gap_intervals",
     "format_cantor",
     "parse_cantor",
@@ -194,19 +195,28 @@ def interval_left_endpoints(p: int, n: int, L: int) -> list:
     return [Fraction(m, denom) for m in nums]
 
 
-def gap_intervals(p: int, n: int, L: int) -> list:
-    """Complementary open intervals of the level-L codec image inside [0,1].
+def gap_numerators(p: int, n: int, L: int) -> list:
+    """Numerators (a, b) over q**L of the level-L gaps (a/q**L, b/q**L).
 
-    Returned in increasing order; gap i lies between intervals i and i+1.
-    For n=1 every base-q digit is allowed and the intervals tile [0,1], so
-    there are no gaps.
+    Returned in increasing order; gap i lies between intervals i and i+1, so
+    a is one past the left numerator of interval i and b is that of
+    interval i+1.  For n=1 every base-q digit is allowed and the intervals
+    tile [0,1], so there are no gaps.
     """
     if n == 1:
         _check_level(p, n, L)
         return []
     nums = interval_numerators(p, n, L)
+    return [(a + 1, b) for a, b in zip(nums, nums[1:])]
+
+
+def gap_intervals(p: int, n: int, L: int) -> list:
+    """Complementary open intervals of the level-L codec image inside [0,1].
+
+    These are the :func:`gap_numerators` over q**L, in increasing order.
+    """
     denom = (n * (p - 1) + 1) ** L
-    return [(Fraction(a + 1, denom), Fraction(b, denom)) for a, b in zip(nums, nums[1:])]
+    return [(Fraction(a, denom), Fraction(b, denom)) for a, b in gap_numerators(p, n, L)]
 
 
 def format_cantor(c: CantorValue) -> str:

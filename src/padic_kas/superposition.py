@@ -42,6 +42,7 @@ __all__ = [
     "PADIC",
     "BUILTIN_NAMES",
     "EXHAUSTIVE_LIMIT",
+    "table_fits",
     "CylinderFunction",
     "GFunction",
     "HFunction",
@@ -334,7 +335,7 @@ class GFunction:
         return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
 
 
-def _table_fits(p, L):
+def table_fits(p, L):
     """Whether all p**L digit tuples fit under EXHAUSTIVE_LIMIT.
 
     p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
@@ -348,7 +349,7 @@ def _require_table_size(p, L, exponent="(n*K)"):
 
     ``exponent`` names L in the message.
     """
-    if not _table_fits(p, L):
+    if not table_fits(p, L):
         raise SizeLimitExceeded(
             f"p**{exponent} = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
         )
@@ -422,29 +423,69 @@ def eval_g(G: GFunction, t) -> float:
     return _eval_g_ratio(G, num, den)
 
 
-# One list holds p**(n*K) ints, up to EXHAUSTIVE_LIMIT of them, so only a
-# few levels stay cached.
-_interval_numerators = lru_cache(maxsize=4)(interval_numerators)
+# The most intervals one bisect step of _eval_g_ratio searches, so that every
+# cached numerator list stays small whatever the level.
+_STEP_INTERVALS = 1024
+
+
+@lru_cache(maxsize=8)
+def _steps(p, n, L):
+    """How :func:`_eval_g_ratio` reads the L base-q digits of t * q**L.
+
+    From the top, one tuple per step of ``size`` digits with ``rest`` digits
+    below it: (numerators of level size, q**rest, p**size, p**rest).  Steps
+    are as long as _STEP_INTERVALS allows and share their numerators; a
+    one-digit step's are a range, so no list holds more than
+    _STEP_INTERVALS ints.
+    """
+    q = n * (p - 1) + 1
+    size = 1
+    while p ** (size + 1) <= _STEP_INTERVALS:
+        size += 1
+    steps = []
+    nums = ()
+    while L:
+        step = min(size, L)
+        L -= step
+        if len(nums) != p**step:
+            nums = range(0, q, n) if step == 1 else interval_numerators(p, n, step)
+        steps.append((nums, q**L, p**step, p**L))
+    return tuple(steps)
 
 
 def _eval_g_ratio(G, num, den):
     """eval_g at t = num/den, for 0 <= num <= den; the ratio need not be reduced.
 
-    In units of q**-L, interval i is [nums[i], nums[i] + 1] and gap i is
-    (nums[i] + 1, nums[i + 1]).  With t * q**L = m + r/den, bisecting the
-    numerators for m finds the interval i at or left of t, and t lies
-    offset + r/den above its right end: inside gap i if that is positive.
+    With t * q**L = m + r/den, the base-q digits of m are read from the top,
+    a step of digits at a time.  Bisecting a step's digits d over the
+    numerators of its level finds the interval j at or left of them; while
+    d is j's numerator, t lies in j.  Otherwise t lies in the gap right of
+    j: its left end keeps the left interval's value, and inside it the
+    neighbours are blended.
     """
-    p, n, L, values = G.p, G.n, G.n * G.K, G.values
-    m, r = divmod(num * (n * (p - 1) + 1) ** L, den)
-    nums = _interval_numerators(p, n, L)
-    i = bisect_right(nums, m) - 1
-    offset = m - nums[i] - 1
-    if offset < 0 or (offset == 0 and r == 0):
-        return values[i]
-    va, vb = values[i], values[i + 1]
-    theta = Fraction(offset * den + r, (nums[i + 1] - nums[i] - 1) * den)
-    return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
+    p, n, K, values = G.p, G.n, G.K, G.values
+    L = n * K
+    scale = (n * (p - 1) + 1) ** L
+    m, r = divmod(num * scale, den)
+    if m == scale:
+        return values[-1]
+    i = 0
+    for nums, scale, width, below in _steps(p, n, L):
+        d, m = divmod(m, scale)
+        j = bisect_right(nums, d) - 1
+        off = d - nums[j]
+        if off:
+            # In units of q**-L, gap gi is (nums[j + 1] - nums[j] - 1)*scale
+            # wide and t lies offset + r/den above its left end.
+            gi = (i * width + j + 1) * below - 1
+            offset = (off - 1) * scale + m
+            if not offset and not r:
+                return values[gi]
+            va, vb = values[gi], values[gi + 1]
+            theta = Fraction(offset * den + r, (nums[j + 1] - nums[j] - 1) * scale * den)
+            return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)
+        i = i * width + j
+    return values[i]
 
 
 def superpose1(G: GFunction, X: PadicPoint) -> float:

@@ -24,6 +24,7 @@ from .cantor import (
     combine,
     extract,
     format_cantor,
+    gap_numerators,
     interval_left_endpoints,
 )
 from .core import (
@@ -46,14 +47,13 @@ from .superposition import (
     WEIGHTS_PAPER,
     WEIGHTS_PROOF,
     CylinderFunction,
-    _eval_g_ratio,
-    _interval_numerators,
     _require_table_size,
-    _table_fits,
     build_g,
     build_h,
+    eval_g,
     superpose1,
     superpose2,
+    table_fits,
 )
 
 __all__ = [
@@ -196,7 +196,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
 
 def _digit_tuples(p, length, samples, rng):
     """(iterator, count): all digit tuples if affordable, else a seeded sample."""
-    if _table_fits(p, length):
+    if table_fits(p, length):
         return product(range(p), repeat=length), p**length
     _require_sample_size(samples, length)
     it = (tuple(rng.randrange(p) for _ in range(length)) for _ in range(samples))
@@ -350,7 +350,7 @@ def _suite_lemma1(cfg, rng):
 
 def _pairs(p, length, samples, rng):
     """(iterator of digit-tuple pairs, count), exhaustive under the limit."""
-    if _table_fits(p, 2 * length):
+    if table_fits(p, 2 * length):
         space = list(product(range(p), repeat=length))
         return product(space, space), len(space) ** 2
     _require_sample_size(samples, 2 * length)
@@ -445,30 +445,27 @@ def _suite_extension(cfg, rng):
     values = G.values
     failures = []
     quarter = Fraction(1, 4)
-    # Gap i is (a, b) = (nums[i] + 1, nums[i + 1]) over den = q**L, and its
-    # midpoint and quarter point are exact over 4*den.  n = 1 has no gaps.
+    # A gap's midpoint and quarter point are exact over 4 * q**L.
     den = G.q**G.L
-    nums = _interval_numerators(G.p, G.n, G.L)
-    count = len(nums) - 1 if G.n > 1 else 0
-    for i in range(count):
-        a, b = nums[i] + 1, nums[i + 1]
-        va, vb = values[i], values[i + 1]
-        got = _eval_g_ratio(G, a, den)
+    gaps = gap_numerators(G.p, G.n, G.L)
+    for (a, b), va, vb in zip(gaps, values, values[1:]):
+        got = eval_g(G, Fraction(a, den))
         if got != va:
             _fail(failures, "gap_left_endpoint", _gap_case(a, b, den), repr(got), repr(va))
-        got = _eval_g_ratio(G, b, den)
+        got = eval_g(G, Fraction(b, den))
         if got != vb:
             _fail(failures, "gap_right_endpoint", _gap_case(a, b, den), repr(got), repr(vb))
-        mid = _eval_g_ratio(G, 2 * (a + b), 4 * den)
+        mid = eval_g(G, Fraction(2 * (a + b), 4 * den))
         mean = (va + vb) / 2
         if mid != mean:
             _fail(failures, "gap_midpoint", _gap_case(a, b, den), repr(mid), repr(mean))
-        at_quarter = _eval_g_ratio(G, 3 * a + b, 4 * den)
+        at_quarter = eval_g(G, Fraction(3 * a + b, 4 * den))
         expected = float(Fraction(va) + (Fraction(vb) - Fraction(va)) * quarter)
         if at_quarter != expected:
             _fail(
                 failures, "gap_linearity", _gap_case(a, b, den), repr(at_quarter), repr(expected)
             )
+    count = len(gaps)
     return count, {"gaps": count}, failures
 
 

@@ -20,6 +20,7 @@ from padic_kas import (
     extract,
     format_cantor,
     gap_intervals,
+    gap_numerators,
     interval_left_endpoints,
     interval_numerators,
     make_cantor,
@@ -225,9 +226,11 @@ class TestGaps:
             (Fraction(1, 3), Fraction(2, 3)),
             (Fraction(7, 9), Fraction(8, 9)),
         ]
+        assert gap_numerators(2, 2, 2) == [(1, 2), (3, 6), (7, 8)]
 
     def test_arity_one_has_no_gaps(self):
         assert gap_intervals(3, 1, 2) == []
+        assert gap_numerators(3, 1, 2) == []
 
     def test_gaps_complement_intervals(self):
         # membership via digit extraction agrees with the gap list
@@ -254,6 +257,8 @@ class TestGaps:
             gap_intervals(4, 2, 1)
         with pytest.raises(NonPrimeModulus):
             gap_intervals(4, 1, 1)
+        with pytest.raises(NonPrimeModulus):
+            gap_numerators(4, 1, 1)
 
     @pytest.mark.parametrize("p,n,L", [(2, 1, 4), (2, 2, 4), (3, 2, 3), (5, 3, 2)])
     def test_numerators_are_the_allowed_numerals_in_order(self, p, n, L):

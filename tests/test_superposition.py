@@ -399,7 +399,7 @@ class TestEvalGIndexing:
 def _digit_walk_eval_g(G, t):
     """eval_g by reading the base-q digits of t * q**L from the top.
 
-    The reference for the bisect over the interval numerators: the first
+    The reference for the bisect steps, one digit at a time: the first
     digit that is not a multiple of n puts t in a gap.
     """
     t = Fraction(t)
@@ -436,8 +436,12 @@ class _TaggedFraction(Fraction):
 
 
 class TestEvalGBisect:
+    # One bisect step, then several: (2, 2, 6) and (3, 2, 4) take a short
+    # last step, (11, 1, 3) a one-digit range, and (37, 2, 1) only ranges.
     @pytest.mark.parametrize(
-        "p,n,K", [(2, 1, 4), (3, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 1), (5, 3, 1)]
+        "p,n,K",
+        [(2, 1, 4), (3, 1, 2), (2, 2, 3), (3, 2, 2), (2, 3, 2), (3, 3, 1), (5, 3, 1),
+         (2, 2, 6), (3, 2, 4), (11, 1, 3), (37, 2, 1)],
     )
     def test_repr_identical_to_the_digit_walk(self, p, n, K):
         rng = random.Random(1000 + 100 * p + 10 * n + K)
@@ -510,9 +514,22 @@ class TestEvalGBisect:
         with pytest.raises(error):
             eval_g(G, t)
 
-    def test_numerators_cache_is_small_and_bounded(self):
-        maxsize = superposition._interval_numerators.cache_info().maxsize
-        assert maxsize is not None and 0 < maxsize <= 4
+    @pytest.mark.parametrize(
+        "p,n,L", [(2, 2, 20), (3, 2, 12), (11, 1, 5), (37, 2, 2), (1000003, 1, 1)]
+    )
+    def test_step_numerators_are_small_and_bounded(self, p, n, L):
+        maxsize = superposition._steps.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 8
+        steps = superposition._steps(p, n, L)
+        q, rest = n * (p - 1) + 1, L
+        for nums, scale, width, below in steps:
+            assert len(nums) == width <= max(p, superposition._STEP_INTERVALS)
+            assert isinstance(nums, range) or len(nums) <= superposition._STEP_INTERVALS
+            size = next(s for s in range(1, L + 1) if p**s == width)
+            assert list(nums) == interval_numerators(p, n, size)
+            rest -= size
+            assert (scale, below) == (q**rest, p**rest)
+        assert rest == 0
 
 
 class TestSuperpose1ReadsTheIndex:

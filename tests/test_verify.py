@@ -214,7 +214,7 @@ class TestBoundSuites:
         assert blend in source
         namespace = dict(vars(superposition))
         exec(source.replace(blend, "return va"), namespace)
-        monkeypatch.setattr(verify, "_eval_g_ratio", namespace["_eval_g_ratio"])
+        monkeypatch.setattr(superposition, "_eval_g_ratio", namespace["_eval_g_ratio"])
         report = run_verify(RunConfig(p=2, n=2, K=2, suite="extension"))
         assert not report.passed
         assert report.cases == 2**4 - 1
