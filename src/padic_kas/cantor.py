@@ -14,6 +14,8 @@ All digit vectors are exact; rationals appear only at output boundaries.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, mod, mul
 
 from .core import TruncatedPadicInt, is_prime, named_tuple
 from .errors import (
@@ -24,6 +26,7 @@ from .errors import (
     NonPrimeModulus,
     PrecisionMismatch,
 )
+from .interleave import merge_order
 
 __all__ = [
     "CantorValue",
@@ -42,6 +45,10 @@ __all__ = [
     "format_cantor",
     "parse_cantor",
 ]
+
+# As in interleave: the chain maps skip the named tuple's Python-level
+# __new__ and build their values with the tuple constructor directly.
+_new = tuple.__new__
 
 
 @named_tuple("p n digits")
@@ -86,7 +93,8 @@ def cantor_encode(x: TruncatedPadicInt, n: int) -> CantorValue:
     """Map digits x_i to base-q digits n*x_i (stride-1 layout, L = K)."""
     if n < 1:
         raise ArityMismatch(f"arity must be >= 1, got {n}")
-    return CantorValue(x.p, n, tuple(n * d for d in x.digits))
+    p, _, digits = x
+    return _new(CantorValue, (p, n, tuple(map(mul, repeat(n), digits))))
 
 
 def cantor_decode(c: CantorValue) -> TruncatedPadicInt:
@@ -96,13 +104,15 @@ def cantor_decode(c: CantorValue) -> TruncatedPadicInt:
         InvalidCantorDigit: some digit is not a multiple of n, i.e. the value
             is not in the codec image.
     """
-    n = c.n
-    for i, d in enumerate(c.digits):
-        if d % n:
-            raise InvalidCantorDigit(
-                f"digit {d} at index {i} is not a multiple of {n}"
-            )
-    return TruncatedPadicInt(c.p, c.L, tuple(d // n for d in c.digits))
+    p, n, digits = c
+    if any(map(mod, digits, repeat(n))):
+        for i, d in enumerate(digits):
+            if d % n:
+                raise InvalidCantorDigit(
+                    f"digit {d} at index {i} is not a multiple of {n}"
+                )
+    x = tuple(map(floordiv, digits, repeat(n)))
+    return _new(TruncatedPadicInt, (p, len(x), x))
 
 
 def spread(c: CantorValue) -> CantorValue:
@@ -111,43 +121,44 @@ def spread(c: CantorValue) -> CantorValue:
     The output keeps exactly the digits determined by the input:
     L_out = n*(L_in - 1) + 1.
     """
-    n = c.n
-    if n == 1 or c.L == 0:
+    p, n, digits = c
+    if n == 1 or not digits:
         return c
-    out = [0] * (n * (c.L - 1) + 1)
-    out[::n] = c.digits
-    return CantorValue(c.p, n, tuple(out))
+    out = [0] * (n * (len(digits) - 1) + 1)
+    out[::n] = digits
+    return _new(CantorValue, (p, n, tuple(out)))
 
 
 def combine(parts) -> CantorValue:
     """Interleave n stride-1 values: output digit n*i+k is parts[k].digits[i].
 
     Digitwise this equals sum_k q**(-k) * spread(parts[k]); no carries occur
-    because every digit is at most q-1.
+    because every digit is at most q-1.  The digit order is interleave's, so
+    Theorem 1's map s and Theorem 2's map z share one permutation.
     """
     parts = tuple(parts)
     if not parts:
         raise ArityMismatch("combine needs at least one part")
-    first = parts[0]
-    n = first.n
+    p, n, first = parts[0]
     if len(parts) != n:
         raise ArityMismatch(f"expected {n} parts, got {len(parts)}")
-    for c in parts[1:]:
-        if c.p != first.p or c.n != n:
-            raise DimensionMismatch(
-                f"part ({c.p}, n={c.n}) differs from ({first.p}, n={n})"
-            )
-        if c.L != first.L:
-            raise PrecisionMismatch(f"part lengths differ: {c.L} vs {first.L}")
-    merged = tuple(d for group in zip(*(c.digits for c in parts)) for d in group)
-    return CantorValue(first.p, n, merged)
+    L = len(first)
+    cat = ()
+    for cp, cn, digits in parts:
+        if cp != p or cn != n:
+            raise DimensionMismatch(f"part ({cp}, n={cn}) differs from ({p}, n={n})")
+        if len(digits) != L:
+            raise PrecisionMismatch(f"part lengths differ: {len(digits)} vs {L}")
+        cat += digits
+    return _new(CantorValue, (p, n, merge_order(n, L)(cat)))
 
 
 def extract(z: CantorValue, k: int) -> CantorValue:
     """Take the digits at positions n*i+k; inverse of :func:`combine`."""
-    if k < 0 or k >= z.n:
-        raise IndexOutOfRange(f"stream index {k} not in [0, {z.n - 1}]")
-    return CantorValue(z.p, z.n, z.digits[k :: z.n])
+    p, n, digits = z
+    if k < 0 or k >= n:
+        raise IndexOutOfRange(f"stream index {k} not in [0, {n - 1}]")
+    return _new(CantorValue, (p, n, digits[k::n]))
 
 
 def phi_full(x: TruncatedPadicInt, n: int) -> CantorValue:
@@ -157,11 +168,12 @@ def phi_full(x: TruncatedPadicInt, n: int) -> CantorValue:
 
 def cantor_to_rational(c: CantorValue) -> Fraction:
     """Exact value sum_i digits[i] * q**(-i-1) as a reduced fraction."""
-    q = c.q
+    p, n, digits = c
+    q = n * (p - 1) + 1
     acc = 0
-    for d in c.digits:
+    for d in digits:
         acc = acc * q + d
-    return Fraction(acc, q**c.L)
+    return Fraction(acc, q ** len(digits))
 
 
 def _check_level(p: int, n: int, L: int) -> None:

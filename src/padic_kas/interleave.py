@@ -52,15 +52,19 @@ def omega(x: TruncatedPadicInt, n: int) -> TruncatedPadicInt:
     return TruncatedPadicInt(x.p, n * x.K, tuple(out))
 
 
-@lru_cache(maxsize=None)
-def _merge_order(n: int, K: int):
-    """Picks digits out of the concatenated coordinates in interleaved order.
+@lru_cache(maxsize=32)
+def merge_order(n: int, K: int):
+    """Picks digits out of n concatenated K-digit streams in interleaved order.
 
-    Exhaustive verification calls interleave millions of times; a cached
-    index permutation keeps the per-call cost at one C-level getter.
+    Output digit n*i+k is stream k's digit i.  interleave (Theorem 2's z) and
+    cantor.combine (Theorem 1's s) both use it, so the two maps share one
+    digit order.  Exhaustive verification calls them millions of times; a
+    cached index permutation keeps the per-call cost at one C-level getter.
     """
-    if n * K == 1:
-        return lambda cat: (cat[0],)
+    if n * K < 2:
+        # itemgetter needs an index and returns a bare item for one; the
+        # concatenation of 0 or 1 digits is already in order.
+        return tuple
     return itemgetter(*[k * K + i for i in range(K) for k in range(n)])
 
 
@@ -81,7 +85,7 @@ def interleave(X: PadicPoint) -> InterleavedPadic:
         cat += c.digits
     if len(cat) != n * K:
         raise PrecisionMismatch(f"coordinates carry {len(cat)} digits, expected {n * K}")
-    merged = _new(TruncatedPadicInt, (p, n * K, _merge_order(n, K)(cat)))
+    merged = _new(TruncatedPadicInt, (p, n * K, merge_order(n, K)(cat)))
     return _new(InterleavedPadic, (merged, n))
 
 

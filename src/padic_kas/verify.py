@@ -324,6 +324,7 @@ def _suite_lemma1(cfg, rng):
     n = 2
     L = LEMMA1_LEVEL
     bound = Fraction((2 * p - 1) ** 2 - 1, 2 * (p - 1) ** 2)
+    _require_sample_size(cfg.samples, 4 * L)
     failures = []
     for _ in range(cfg.samples):
         parts = []

@@ -10,9 +10,12 @@ from hypothesis import given, strategies as st
 from padic_kas import (
     ArityMismatch,
     CantorValue,
+    DimensionMismatch,
     IndexOutOfRange,
     InvalidCantorDigit,
     NonPrimeModulus,
+    PrecisionMismatch,
+    TruncatedPadicInt,
     cantor_decode,
     cantor_encode,
     cantor_to_rational,
@@ -21,6 +24,7 @@ from padic_kas import (
     format_cantor,
     gap_intervals,
     gap_numerators,
+    interleave,
     interval_left_endpoints,
     interval_numerators,
     make_cantor,
@@ -31,7 +35,7 @@ from padic_kas import (
     spread,
 )
 
-from helpers import all_values, base_q_value, first_difference
+from helpers import all_points, all_values, base_q_value, first_difference
 
 primes = st.sampled_from([2, 3, 5])
 
@@ -342,3 +346,168 @@ class TestTextFormat:
             make_cantor([3], 2, 2)
         with pytest.raises(InvalidCantorDigit):
             make_cantor([-1], 2, 2)
+
+
+# ------------------------------------------------ the chain against references
+#
+# The chain maps build their values with tuple.__new__ and map their digits
+# in C.  These are the straightforward implementations they replaced, kept
+# as references: every result must equal theirs in value and exact type,
+# and every error must carry the same type and message.
+
+
+def _ref_cantor_encode(x, n):
+    if n < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {n}")
+    return CantorValue(x.p, n, tuple(n * d for d in x.digits))
+
+
+def _ref_cantor_decode(c):
+    n = c.n
+    for i, d in enumerate(c.digits):
+        if d % n:
+            raise InvalidCantorDigit(
+                f"digit {d} at index {i} is not a multiple of {n}"
+            )
+    return TruncatedPadicInt(c.p, c.L, tuple(d // n for d in c.digits))
+
+
+def _ref_spread(c):
+    n = c.n
+    if n == 1 or c.L == 0:
+        return c
+    out = [0] * (n * (c.L - 1) + 1)
+    out[::n] = c.digits
+    return CantorValue(c.p, n, tuple(out))
+
+
+def _ref_combine(parts):
+    parts = tuple(parts)
+    if not parts:
+        raise ArityMismatch("combine needs at least one part")
+    first = parts[0]
+    n = first.n
+    if len(parts) != n:
+        raise ArityMismatch(f"expected {n} parts, got {len(parts)}")
+    for c in parts[1:]:
+        if c.p != first.p or c.n != n:
+            raise DimensionMismatch(
+                f"part ({c.p}, n={c.n}) differs from ({first.p}, n={n})"
+            )
+        if c.L != first.L:
+            raise PrecisionMismatch(f"part lengths differ: {c.L} vs {first.L}")
+    merged = tuple(d for group in zip(*(c.digits for c in parts)) for d in group)
+    return CantorValue(first.p, n, merged)
+
+
+def _ref_extract(z, k):
+    if k < 0 or k >= z.n:
+        raise IndexOutOfRange(f"stream index {k} not in [0, {z.n - 1}]")
+    return CantorValue(z.p, z.n, z.digits[k :: z.n])
+
+
+def _ref_cantor_to_rational(c):
+    q = c.q
+    acc = 0
+    for d in c.digits:
+        acc = acc * q + d
+    return Fraction(acc, q**c.L)
+
+
+def _outcome(fn, *args):
+    """What a call gives: its value with the exact types inside, or its error."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc))
+    if isinstance(value, tuple):
+        return ("returns", type(value), value, [type(field) for field in value])
+    return ("returns", type(value), value, (value.numerator, value.denominator))
+
+
+# Every (p, n, K) with p in {2, 3, 5}, n in {1, 2, 3} and p**(n*K) <= 4096.
+CHAIN_SPACES = [
+    (p, n, K)
+    for p in (2, 3, 5)
+    for n in (1, 2, 3)
+    for K in range(1, 13)
+    if p ** (n * K) <= 4096
+]
+
+
+class TestChainMatchesReference:
+    @pytest.mark.parametrize("p,n,K", CHAIN_SPACES)
+    def test_every_point(self, p, n, K):
+        for X in all_points(p, n, K):
+            parts = []
+            for x in X.coords:
+                assert _outcome(cantor_encode, x, n) == _outcome(_ref_cantor_encode, x, n)
+                c = cantor_encode(x, n)
+                assert _outcome(spread, c) == _outcome(_ref_spread, c)
+                parts.append(c)
+            z = combine(parts)
+            assert _outcome(combine, parts) == _outcome(_ref_combine, parts)
+            assert _outcome(cantor_to_rational, z) == _outcome(_ref_cantor_to_rational, z)
+            for k in range(-1, n + 1):
+                assert _outcome(extract, z, k) == _outcome(_ref_extract, z, k)
+            for k in range(n):
+                c = extract(z, k)
+                assert _outcome(cantor_decode, c) == _outcome(_ref_cantor_decode, c)
+
+    @pytest.mark.parametrize("p,n,K", CHAIN_SPACES)
+    def test_combine_uses_the_interleave_order(self, p, n, K):
+        # Theorem 1's s and Theorem 2's z place the digits in one order.
+        for X in all_points(p, n, K):
+            s = combine([cantor_encode(c, n) for c in X.coords])
+            assert s.digits == tuple(n * d for d in interleave(X).value.digits)
+
+    @pytest.mark.parametrize("p,n,L", [(2, 2, 4), (3, 2, 2), (2, 3, 3), (5, 3, 1)])
+    def test_decode_every_base_q_tuple(self, p, n, L):
+        # Off-set digits raise with the first offending index.
+        q = n * (p - 1) + 1
+        for digits in product(range(q), repeat=L):
+            c = CantorValue(p, n, digits)
+            assert _outcome(cantor_decode, c) == _outcome(_ref_cantor_decode, c)
+
+    def test_decode_arity_zero(self):
+        for c in (CantorValue(2, 0, (1, 0)), CantorValue(2, 0, ())):
+            assert _outcome(cantor_decode, c) == _outcome(_ref_cantor_decode, c)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_encode_rejects_bad_arity(self, n):
+        x = make_padic([1], 2, 2)
+        assert _outcome(cantor_encode, x, n) == _outcome(_ref_cantor_encode, x, n)
+
+    def test_combine_every_short_list_of_parts(self):
+        # Empty input, arity, p/n mismatch and length mismatch, in every
+        # position, including zero-digit parts.
+        pool = [
+            CantorValue(2, 2, (2, 0)),
+            CantorValue(2, 2, (0, 2, 2)),
+            CantorValue(2, 2, ()),
+            CantorValue(3, 2, (4, 2)),
+            CantorValue(2, 3, (3, 0)),
+            CantorValue(2, 1, (1, 1)),
+            CantorValue(2, 1, ()),
+        ]
+        for size in range(4):
+            for parts in product(pool, repeat=size):
+                assert _outcome(combine, parts) == _outcome(_ref_combine, parts), parts
+
+    def test_combine_takes_an_iterator(self):
+        parts = [CantorValue(3, 2, (2, 4)), CantorValue(3, 2, (0, 2))]
+        expected = _ref_combine(parts)
+        assert combine(iter(parts)) == expected
+        assert combine(c for c in parts) == expected
+        assert combine(iter(parts)).digits == (2, 0, 4, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_combine_zero_digit_parts(self, n):
+        parts = [CantorValue(2, n, ())] * n
+        expected = ("returns", CantorValue, CantorValue(2, n, ()), [int, int, tuple])
+        assert _outcome(combine, parts) == expected
+        assert _outcome(combine, parts) == _outcome(_ref_combine, parts)
+        z = combine(parts)
+        assert _outcome(cantor_to_rational, z) == _outcome(_ref_cantor_to_rational, z)
+        assert _outcome(spread, z) == _outcome(_ref_spread, z)
+        assert _outcome(cantor_decode, z) == _outcome(_ref_cantor_decode, z)

@@ -355,6 +355,24 @@ class TestSizeLimit:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "exceed the sampling limit of 10000000 digits" in err
 
+    def test_oversized_lemma1_is_refused_at_once(self, capsys):
+        # lemma1 draws 4 * LEMMA1_LEVEL = 32 digits per sample, whatever K is.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--p", "2", "--n", "2", "--K", "2",
+            "--samples", "100000000",
+            "--suite", "lemma1",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err == (
+            "error: 100000000 samples of 32 digits exceed the sampling limit "
+            "of 10000000 digits\n"
+        )
+
 
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):

@@ -28,6 +28,8 @@ from padic_kas import (
     point_distance,
 )
 
+from padic_kas.interleave import merge_order
+
 from helpers import all_points, all_values
 
 
@@ -82,6 +84,18 @@ class TestInterleave:
         X = PadicPoint(2, (make_padic([1], 2, 1), make_padic([1], 2, 2)))
         with pytest.raises(PrecisionMismatch):
             interleave(X)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_zero_digit_coordinates(self, n):
+        X = PadicPoint(n, (TruncatedPadicInt(2, 0, ()),) * n)
+        z = interleave(X)
+        assert z == InterleavedPadic(TruncatedPadicInt(2, 0, ()), n)
+        assert deinterleave(z) == X
+
+    def test_merge_order_cache_is_bounded(self):
+        # Callers choose (n, K), and combine keys it by its parts' length too.
+        maxsize = merge_order.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
 
 
 class TestDeinterleave:
