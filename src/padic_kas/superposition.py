@@ -88,12 +88,7 @@ class CylinderFunction:
     __slots__ = ("p", "n", "K", "codomain", "name", "values", "_fn")
 
     def __init__(self, p, n, K, codomain, fn, name, values=None):
-        if not is_prime(p):
-            raise NonPrimeModulus(f"modulus {p} is not prime")
-        if n < 1:
-            raise DimensionMismatch(f"arity must be >= 1, got {n}")
-        if K < 1:
-            raise ValueError(f"level K must be >= 1, got {K}")
+        _check_header(p, n, K)
         if codomain not in (REAL, PADIC):
             raise CodomainMismatch(f"unknown codomain {codomain!r}")
         self.p = p
@@ -149,6 +144,7 @@ class CylinderFunction:
         must share p and K.  A table over more than EXHAUSTIVE_LIMIT inputs
         is refused before any key is read.
         """
+        _check_header(p, n, K)
         _require_table_size(p, n * K)
         dil = _dilations(p, n, K)
         size = p ** (n * K)
@@ -190,6 +186,16 @@ class CylinderFunction:
         return CylinderFunction(
             self.p, self.n, K_new, self.codomain, fn, f"{self.name}@K{K_new}"
         )
+
+
+def _check_header(p, n, K):
+    """Raise unless p is prime and n, K >= 1: the check every constructor runs first."""
+    if not is_prime(p):
+        raise NonPrimeModulus(f"modulus {p} is not prime")
+    if n < 1:
+        raise DimensionMismatch(f"arity must be >= 1, got {n}")
+    if K < 1:
+        raise ValueError(f"level K must be >= 1, got {K}")
 
 
 def _check_point(X, F):

@@ -14,7 +14,7 @@ import os
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from .cantor import (
     CantorValue,
@@ -76,6 +76,9 @@ LEMMA1_LEVEL = 8
 # most EXHAUSTIVE_LIMIT tuples of up to 19 digits, so a sampled one does
 # work of the same order.
 SAMPLE_DIGIT_LIMIT = 10**7
+
+# The raw constructor behind a named tuple's __new__, as the library uses it.
+_new = tuple.__new__
 
 
 class RunConfig:
@@ -199,8 +202,12 @@ def _digit_tuples(p, length, samples, rng):
     if table_fits(p, length):
         return product(range(p), repeat=length), p**length
     _require_sample_size(samples, length)
-    it = (tuple(rng.randrange(p) for _ in range(length)) for _ in range(samples))
-    return it, samples
+    return (_draw(rng, p, length) for _ in range(samples)), samples
+
+
+def _draw(rng, p, length):
+    """One seeded digit tuple: ``length`` calls of ``rng.randrange(p)``, in order."""
+    return tuple(map(rng.randrange, repeat(p, length)))
 
 
 def _require_sample_size(samples, digits):
@@ -212,9 +219,23 @@ def _require_sample_size(samples, digits):
         )
 
 
-def _block_coords(p, n, K, digs):
-    """The n coordinates of an n*K-digit tuple in block layout: k is digs[k*K:(k+1)*K]."""
-    return tuple(TruncatedPadicInt(p, K, digs[k * K : (k + 1) * K]) for k in range(n))
+def _block_point(p, n, K, digs):
+    """The point of an n*K-digit tuple in block layout: coordinate k is digs[k*K:(k+1)*K]."""
+    coords = tuple(_new(TruncatedPadicInt, (p, K, digs[k * K : (k + 1) * K])) for k in range(n))
+    return _new(PadicPoint, (n, coords))
+
+
+def _points(p, n, K, samples, rng):
+    """(iterator of points, count) in the order of :func:`_digit_tuples` over n*K digits.
+
+    An exhaustive run at n >= 2 builds each of the p**K (at most 1,000)
+    coordinate values once; otherwise the points stream from digit tuples.
+    """
+    if n > 1 and table_fits(p, n * K):
+        space = [_new(TruncatedPadicInt, (p, K, d)) for d in product(range(p), repeat=K)]
+        return (_new(PadicPoint, (n, c)) for c in product(space, repeat=n)), p ** (n * K)
+    it, count = _digit_tuples(p, n * K, samples, rng)
+    return (_block_point(p, n, K, digs) for digs in it), count
 
 
 def _format_coords(coords):
@@ -233,39 +254,37 @@ def _suite_roundtrip(cfg, rng):
     it, count = _digit_tuples(p, K, cfg.samples, rng)
     breakdown["cantor"] = count
     for digs in it:
-        x = TruncatedPadicInt(p, K, digs)
+        x = _new(TruncatedPadicInt, (p, K, digs))
         back = cantor_decode(cantor_encode(x, n))
         if back != x:
             _fail(failures, "cantor", format_padic(x), format_padic(back), format_padic(x))
 
-    it, count = _digit_tuples(p, n * K, cfg.samples, rng)
+    it, count = _points(p, n, K, cfg.samples, rng)
     breakdown["chain"] = count
-    for digs in it:
-        coords = _block_coords(p, n, K, digs)
+    for X in it:
+        coords = X.coords
         z = combine([cantor_encode(c, n) for c in coords])
-        back = tuple(cantor_decode(extract(z, k)) for k in range(n))
+        back = tuple([cantor_decode(extract(z, k)) for k in range(n)])
         if back != coords:
             _fail(
                 failures, "chain", _format_coords(coords), _format_coords(back),
                 _format_coords(coords),
             )
 
-    it, count = _digit_tuples(p, n * K, cfg.samples, rng)
+    it, count = _points(p, n, K, cfg.samples, rng)
     breakdown["interleave_forward"] = count
-    for digs in it:
-        coords = _block_coords(p, n, K, digs)
-        X = PadicPoint(n, coords)
+    for X in it:
         back = deinterleave(interleave(X))
         if back != X:
             _fail(
-                failures, "interleave_forward", _format_coords(coords),
-                _format_coords(back.coords), _format_coords(coords),
+                failures, "interleave_forward", _format_coords(X.coords),
+                _format_coords(back.coords), _format_coords(X.coords),
             )
 
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
     breakdown["interleave_backward"] = count
     for digs in it:
-        z = InterleavedPadic(TruncatedPadicInt(p, n * K, digs), n)
+        z = _new(InterleavedPadic, (_new(TruncatedPadicInt, (p, n * K, digs)), n))
         back = interleave(deinterleave(z))
         if back != z:
             _fail(
@@ -282,35 +301,30 @@ def _suite_roundtrip(cfg, rng):
 def _suite_theorem1(cfg, rng):
     f = _suite_function(cfg, "norm-product", REAL)
     G = build_g(f)
-    p, n, K = cfg.p, cfg.n, cfg.K
     failures = []
-    it, count = _digit_tuples(p, n * K, cfg.samples, rng)
-    for digs in it:
-        coords = _block_coords(p, n, K, digs)
-        X = PadicPoint(n, coords)
+    it, count = _points(cfg.p, cfg.n, cfg.K, cfg.samples, rng)
+    for X in it:
         expected = f(X)
         got = superpose1(G, X)
         if got != expected:
-            _fail(failures, "theorem1", _format_coords(coords), repr(got), repr(expected))
+            _fail(failures, "theorem1", _format_coords(X.coords), repr(got), repr(expected))
     return count, {"identity": count}, failures
 
 
 def _suite_theorem2(cfg, rng):
     f = _suite_function(cfg, "padic-sum", PADIC)
     H = build_h(f, cfg.weights)
-    p, n, K = cfg.p, cfg.n, cfg.K
+    K = cfg.K
     failures = []
-    it, count = _digit_tuples(p, n * K, cfg.samples, rng)
-    for digs in it:
-        coords = _block_coords(p, n, K, digs)
-        X = PadicPoint(n, coords)
+    it, count = _points(cfg.p, cfg.n, K, cfg.samples, rng)
+    for X in it:
         expected = PadicScalar.from_padic_int(f(X))
         got = superpose2(H, X)
         if got != expected:
             _fail(
                 failures,
                 "theorem2",
-                _format_coords(coords),
+                _format_coords(X.coords),
                 format_padic(got.to_padic_int(K)),
                 format_padic(expected.to_padic_int(K)),
             )
@@ -349,18 +363,17 @@ def _suite_lemma1(cfg, rng):
     return cfg.samples, {"pairs": cfg.samples}, failures
 
 
-def _pairs(p, length, samples, rng):
-    """(iterator of digit-tuple pairs, count), exhaustive under the limit."""
+def _pairs(p, length, samples, rng, value=tuple):
+    """(iterator of pairs of ``value(digit tuple)``, count), exhaustive under the limit.
+
+    Exhaustive runs call ``value`` once per tuple; sampled ones once per draw.
+    """
     if table_fits(p, 2 * length):
-        space = list(product(range(p), repeat=length))
+        space = list(map(value, product(range(p), repeat=length)))
         return product(space, space), len(space) ** 2
     _require_sample_size(samples, 2 * length)
     it = (
-        (
-            tuple(rng.randrange(p) for _ in range(length)),
-            tuple(rng.randrange(p) for _ in range(length)),
-        )
-        for _ in range(samples)
+        (value(_draw(rng, p, length)), value(_draw(rng, p, length))) for _ in range(samples)
     )
     return it, samples
 
@@ -368,20 +381,18 @@ def _pairs(p, length, samples, rng):
 def _suite_lemma2(cfg, rng):
     p, n, K = cfg.p, cfg.n, cfg.K
     failures = []
-    it, count = _pairs(p, n * K, cfg.samples, rng)
-    for da, db in it:
-        A = PadicPoint(n, _block_coords(p, n, K, da))
-        B = PadicPoint(n, _block_coords(p, n, K, db))
+
+    def value(digs):
+        X = _block_point(p, n, K, digs)
+        return X, interleave(X).value
+
+    it, count = _pairs(p, n * K, cfg.samples, rng, value)
+    for (A, za), (B, zb) in it:
         dist = point_distance(A, B)
-        img = padic_norm(padic_sub(interleave(A).value, interleave(B).value))
+        img = padic_norm(padic_sub(za, zb))
         if img > dist**n:
-            _fail(
-                failures,
-                "lemma2",
-                f"{_format_coords(A.coords)}|{_format_coords(B.coords)}",
-                str(img),
-                f"{dist}**{n}",
-            )
+            case = f"{_format_coords(A.coords)}|{_format_coords(B.coords)}"
+            _fail(failures, "lemma2", case, str(img), f"{dist}**{n}")
     return count, {"pairs": count}, failures
 
 
@@ -397,42 +408,31 @@ def _suite_holder(cfg, rng):
     failures = []
     breakdown = {}
 
-    it, count = _pairs(p, K, cfg.samples, rng)
-    breakdown["encode_prefix"] = count
-    for da, db in it:
-        x = TruncatedPadicInt(p, K, da)
-        y = TruncatedPadicInt(p, K, db)
-        N = _shared_prefix(da, db)
-        cx = cantor_encode(x, n)
-        cy = cantor_encode(y, n)
-        if cx.digits[:N] != cy.digits[:N]:
-            _fail(
-                failures,
-                "encode_prefix",
-                f"{format_padic(x)}|{format_padic(y)}",
-                format_cantor(cx),
-                format_cantor(cy),
-            )
+    def encoded(digs):
+        x = _new(TruncatedPadicInt, (p, K, digs))
+        return x, cantor_encode(x, n)
 
-    L = n * K
-    it, count = _pairs(p, L, cfg.samples, rng)
+    it, count = _pairs(p, K, cfg.samples, rng, encoded)
+    breakdown["encode_prefix"] = count
+    for (x, cx), (y, cy) in it:
+        N = _shared_prefix(x.digits, y.digits)
+        if cx.digits[:N] != cy.digits[:N]:
+            case = f"{format_padic(x)}|{format_padic(y)}"
+            _fail(failures, "encode_prefix", case, format_cantor(cx), format_cantor(cy))
+
+    def extracted(digs):
+        z = CantorValue(p, n, tuple(n * d for d in digs))
+        return z, [extract(z, k) for k in range(n)]
+
+    it, count = _pairs(p, n * K, cfg.samples, rng, extracted)
     breakdown["extract_prefix"] = count
-    for da, db in it:
-        z = CantorValue(p, n, tuple(n * d for d in da))
-        w = CantorValue(p, n, tuple(n * d for d in db))
+    for (z, ez), (w, ew) in it:
         N = _shared_prefix(z.digits, w.digits)
         for k in range(n):
             keep = (N - k + n - 1) // n if N >= k else 0
-            ez = extract(z, k)
-            ew = extract(w, k)
-            if ez.digits[:keep] != ew.digits[:keep]:
-                _fail(
-                    failures,
-                    "extract_prefix",
-                    f"{format_cantor(z)}|{format_cantor(w)}|k={k}",
-                    format_cantor(ez),
-                    format_cantor(ew),
-                )
+            if ez[k].digits[:keep] != ew[k].digits[:keep]:
+                case = f"{format_cantor(z)}|{format_cantor(w)}|k={k}"
+                _fail(failures, "extract_prefix", case, format_cantor(ez[k]), format_cantor(ew[k]))
     return sum(breakdown.values()), breakdown, failures
 
 
@@ -440,12 +440,17 @@ def _gap_case(a, b, den):
     return f"gap ({Fraction(a, den)}, {Fraction(b, den)})"
 
 
+def _quarter_point(va, vb):
+    """float(va + (vb - va) / 4) in exact integers: int / int rounds once, correctly."""
+    (an, ad), (bn, bd) = va.as_integer_ratio(), vb.as_integer_ratio()
+    return (3 * an * bd + bn * ad) / (4 * ad * bd)
+
+
 def _suite_extension(cfg, rng):
     f = _suite_function(cfg, "norm-product", REAL)
     G = build_g(f)
     values = G.values
     failures = []
-    quarter = Fraction(1, 4)
     # A gap's midpoint and quarter point are exact over 4 * q**L.
     den = G.q**G.L
     gaps = gap_numerators(G.p, G.n, G.L)
@@ -461,7 +466,7 @@ def _suite_extension(cfg, rng):
         if mid != mean:
             _fail(failures, "gap_midpoint", _gap_case(a, b, den), repr(mid), repr(mean))
         at_quarter = eval_g(G, Fraction(3 * a + b, 4 * den))
-        expected = float(Fraction(va) + (Fraction(vb) - Fraction(va)) * quarter)
+        expected = _quarter_point(va, vb)
         if at_quarter != expected:
             _fail(
                 failures, "gap_linearity", _gap_case(a, b, den), repr(at_quarter), repr(expected)
@@ -528,6 +533,8 @@ def load_table_json(path: str) -> CylinderFunction:
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
+    if not isinstance(raw, dict):
+        raise TableFormatError(f"{path}: top level must be a JSON object")
     for fld in ("p", "n", "K", "codomain", "entries"):
         if fld not in raw:
             raise TableFormatError(f"{path}: missing field {fld!r}")
@@ -544,6 +551,10 @@ def load_table_json(path: str) -> CylinderFunction:
         x = entry["x"]
         if not isinstance(x, list) or len(x) != n:
             raise TableFormatError(f"{path}: entry {idx} field 'x' must list {n} coordinates")
+        if not all(isinstance(coord, list) for coord in x):
+            raise TableFormatError(
+                f"{path}: entry {idx} field 'x' has a coordinate that is not a list"
+            )
         try:
             key = tuple(tuple(int(d) for d in coord) for coord in x)
         except (TypeError, ValueError):

@@ -374,6 +374,58 @@ class TestSizeLimit:
         )
 
 
+class TestMalformedTableFiles:
+    ENTRIES = [{"x": [[0]], "value": 0.5}, {"x": [[1]], "value": 1.5}]
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("5", "{path}: top level must be a JSON object"),
+            ("null", "{path}: top level must be a JSON object"),
+            ('[{"p": 2}]', "{path}: top level must be a JSON object"),
+            (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
+                            "entries": [{"x": [0], "value": 0.5}]}),
+                "{path}: entry 0 field 'x' has a coordinate that is not a list",
+            ),
+            (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
+                            "entries": [{"x": ["1"], "value": 0.5}]}),
+                "{path}: entry 0 field 'x' has a coordinate that is not a list",
+            ),
+            (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
+                            "entries": [{"x": [["a"]], "value": 0.5}]}),
+                "{path}: entry 0 field 'x' has non-integer digits",
+            ),
+            (
+                json.dumps({"p": 2, "n": 1, "K": -1, "codomain": "real", "entries": ENTRIES}),
+                "level K must be >= 1, got -1",
+            ),
+            (
+                json.dumps({"p": 4, "n": 1, "K": 1, "codomain": "real", "entries": []}),
+                "modulus 4 is not prime",
+            ),
+            (
+                json.dumps({"p": 2, "n": 0, "K": 1, "codomain": "real", "entries": []}),
+                "arity must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_one_line_error(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "superpose", "--p", "2", "--n", "1", "--K", "1", "--table", str(path),
+            "--coord", "2:1:0",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err == f"error: {message.format(path=path)}\n"
+
+
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):
         out_path = tmp_path / "c.csv"
