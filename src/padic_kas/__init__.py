@@ -90,6 +90,7 @@ _LAZY = {
         "build_h",
         "eval_g",
         "h_value",
+        "load_table_json",
         "superpose1",
         "superpose2",
         "table_fits",
@@ -102,7 +103,6 @@ _LAZY.update(
         "RunConfig",
         "VerificationReport",
         "emit_cantor_csv",
-        "load_table_json",
         "run_verify",
     )
 )

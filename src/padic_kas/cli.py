@@ -186,29 +186,12 @@ def _cmd_deinterleave(args):
     return 0
 
 
-def _resolve_cli_function(args, codomain=None):
-    from .superposition import PADIC, CylinderFunction
-
-    if args.table:
-        from .verify import load_table_json
-
-        f = load_table_json(args.table)
-        if (f.p, f.n, f.K) != (args.p, args.n, args.K):
-            raise PadicKasError(
-                f"table file has (p={f.p}, n={f.n}, K={f.K}), "
-                f"flags say (p={args.p}, n={args.n}, K={args.K})"
-            )
-        return f
-    name = args.function or ("padic-sum" if codomain == PADIC else "norm-product")
-    return CylinderFunction.from_builtin(name, args.p, args.n, args.K, codomain=codomain)
-
-
 def _cmd_build_g(args):
     import json
 
-    from .superposition import REAL, build_g
+    from .superposition import REAL, build_g, resolve_function
 
-    f = _resolve_cli_function(args, codomain=REAL)
+    f = resolve_function(args.p, args.n, args.K, REAL, args.function, args.table)
     G = build_g(f)
     payload = {
         "kind": "g",
@@ -233,9 +216,9 @@ def _cmd_build_g(args):
 def _cmd_build_h(args):
     import json
 
-    from .superposition import PADIC, build_h
+    from .superposition import PADIC, build_h, resolve_function
 
-    f = _resolve_cli_function(args, codomain=PADIC)
+    f = resolve_function(args.p, args.n, args.K, PADIC, args.function, args.table)
     H = build_h(f, args.weights)
     payload = {
         "kind": "h",
@@ -256,12 +239,9 @@ def _cmd_build_h(args):
 
 
 def _cmd_superpose(args):
-    from .superposition import PADIC, CylinderFunction, build_g, build_h, superpose1, superpose2
+    from .superposition import PADIC, build_g, build_h, resolve_function, superpose1, superpose2
 
-    if args.table:
-        f = _resolve_cli_function(args)
-    else:
-        f = CylinderFunction.from_builtin(args.function, args.p, args.n, args.K)
+    f = resolve_function(args.p, args.n, args.K, function=args.function, table=args.table)
     coords = [parse_padic(text) for text in args.coord]
     X = make_point(coords)
     direct = f(X)
@@ -295,7 +275,6 @@ def _cmd_verify(args):
         function=args.function,
         samples=args.samples,
         seed=seed,
-        output=args.out,
         weights=args.weights,
         table=args.table,
     )

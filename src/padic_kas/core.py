@@ -42,7 +42,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin test.
 

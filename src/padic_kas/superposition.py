@@ -17,6 +17,7 @@ Both identities are exact at precision K for every input, never approximate.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -24,7 +25,7 @@ from itertools import product
 from operator import attrgetter, getitem
 
 from .cantor import gap_intervals, interval_numerators
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
+from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add, parse_padic
 from .errors import (
     CodomainMismatch,
     ConfigError,
@@ -230,7 +231,10 @@ def _check_key(key, p, n, K, dil):
 
 def _check_value(value, codomain, p, K):
     if codomain == REAL:
-        v = float(value)
+        try:
+            v = float(value)
+        except OverflowError:
+            raise TableFormatError("real table value is too large for a float") from None
         if not math.isfinite(v):
             raise TableFormatError(f"real table value {value!r} is not finite")
         return v
@@ -294,6 +298,98 @@ def _resolve_builtin(name, p, n, K, codomain):
         k = _coord_index(name, "digit0-", n)
         return REAL, lambda X: float(X.coords[k].digits[0])
     raise ConfigError(f"unknown builtin function {name!r}")
+
+
+def resolve_function(p, n, K, codomain=None, function=None, table=None):
+    """The cylinder function at (p, n, K) that a command or a suite runs on.
+
+    ``table`` is the path of a table file (:func:`load_table_json`), which
+    must be at (p, n, K) and, with ``codomain`` given, at that codomain.
+    Otherwise ``function`` names a builtin, by default ``padic-sum`` for a
+    p-adic codomain and ``norm-product`` else.
+    """
+    if table is None:
+        name = function or ("padic-sum" if codomain == PADIC else "norm-product")
+        return CylinderFunction.from_builtin(name, p, n, K, codomain=codomain)
+    f = load_table_json(table)
+    if (f.p, f.n, f.K) != (p, n, K):
+        raise ConfigError(
+            f"table file has (p={f.p}, n={f.n}, K={f.K}), expected (p={p}, n={n}, K={K})"
+        )
+    if codomain is not None and f.codomain != codomain:
+        raise ConfigError(f"table file has codomain {f.codomain!r}, expected {codomain!r}")
+    return f
+
+
+def load_table_json(path: str) -> CylinderFunction:
+    """Read a cylinder-function table file.
+
+    Expected shape::
+
+        {"p": 2, "n": 2, "K": 1, "codomain": "real",
+         "entries": [{"x": [[0], [0]], "value": 0.0}, ...]}
+
+    Digit lists are little-endian lists of JSON integers; p-adic values use
+    the textual form ``p:K:d0,...``.  The table must be total over all
+    p**(n*K) keys.  Real values go to :meth:`CylinderFunction.from_table`
+    as read, so its checks are the ones that apply.
+    """
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise TableFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+    if not isinstance(raw, dict):
+        raise TableFormatError(f"{path}: top level must be a JSON object")
+    for fld in ("p", "n", "K", "codomain", "entries"):
+        if fld not in raw:
+            raise TableFormatError(f"{path}: missing field {fld!r}")
+    p, n, K, codomain = raw["p"], raw["n"], raw["K"], raw["codomain"]
+    if codomain not in (REAL, PADIC):
+        raise TableFormatError(f"{path}: codomain must be 'real' or 'padic', got {codomain!r}")
+    if not isinstance(raw["entries"], list):
+        raise TableFormatError(f"{path}: 'entries' must be a list")
+
+    entries = {}
+    for idx, entry in enumerate(raw["entries"]):
+        if not isinstance(entry, dict) or "x" not in entry or "value" not in entry:
+            raise TableFormatError(f"{path}: entry {idx} needs fields 'x' and 'value'")
+        x = entry["x"]
+        if not isinstance(x, list) or len(x) != n:
+            raise TableFormatError(f"{path}: entry {idx} field 'x' must list {n} coordinates")
+        if not all(isinstance(coord, list) for coord in x):
+            raise TableFormatError(
+                f"{path}: entry {idx} field 'x' has a coordinate that is not a list"
+            )
+        key = tuple(map(tuple, x))
+        if not all(type(d) is int for coord in key for d in coord):
+            raise TableFormatError(f"{path}: entry {idx} field 'x' has non-integer digits")
+        if key in entries:
+            raise TableFormatError(f"{path}: entry {idx} duplicates key {x}")
+        value = entry["value"]
+        if codomain == REAL:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TableFormatError(f"{path}: entry {idx} field 'value' must be a number")
+        elif not isinstance(value, str):
+            raise TableFormatError(
+                f"{path}: entry {idx} field 'value' must be a p-adic literal string"
+            )
+        else:
+            try:
+                value = parse_padic(value)
+            except ValueError as exc:
+                raise TableFormatError(f"{path}: entry {idx} field 'value': {exc}") from None
+        entries[key] = value
+
+    try:
+        return CylinderFunction.from_table(
+            p, n, K, codomain, entries, name=os.path.basename(path)
+        )
+    except TableFormatError as exc:
+        raise TableFormatError(f"{path}: {exc}") from None
 
 
 class GFunction:

@@ -1,4 +1,4 @@
-"""Verification suites, table ingestion, and data emission for the CLI.
+"""Verification suites and data emission for the CLI.
 
 Each suite drives the library's own operations against independent digit-level
 oracles and collects counterexamples.  A suite is exhaustive whenever its case
@@ -9,8 +9,6 @@ so a report is a pure function of its configuration.
 from __future__ import annotations
 
 import json
-import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -35,10 +33,9 @@ from .core import (
     is_prime,
     padic_norm,
     padic_sub,
-    parse_padic,
     point_distance,
 )
-from .errors import ConfigError, NonPrimeModulus, SizeLimitExceeded, TableFormatError
+from .errors import ConfigError, SizeLimitExceeded
 from .interleave import InterleavedPadic, deinterleave, interleave
 from .superposition import (
     EXHAUSTIVE_LIMIT,
@@ -46,11 +43,12 @@ from .superposition import (
     REAL,
     WEIGHTS_PAPER,
     WEIGHTS_PROOF,
-    CylinderFunction,
     _require_table_size,
     build_g,
     build_h,
     eval_g,
+    load_table_json,
+    resolve_function,
     superpose1,
     superpose2,
     table_fits,
@@ -85,7 +83,7 @@ class RunConfig:
     """Parameters of one verification run."""
 
     __slots__ = (
-        "p", "n", "K", "suite", "function", "samples", "seed", "output", "weights", "table",
+        "p", "n", "K", "suite", "function", "samples", "seed", "weights", "table",
     )
 
     def __init__(
@@ -97,7 +95,6 @@ class RunConfig:
         function: str | None = None,
         samples: int = 10000,
         seed: int = 0,
-        output: str | None = None,
         weights: str = WEIGHTS_PROOF,
         table: str | None = None,
     ):
@@ -122,7 +119,6 @@ class RunConfig:
         self.function = function
         self.samples = samples
         self.seed = seed
-        self.output = output
         self.weights = weights
         self.table = table
 
@@ -299,7 +295,7 @@ def _suite_roundtrip(cfg, rng):
 
 
 def _suite_theorem1(cfg, rng):
-    f = _suite_function(cfg, "norm-product", REAL)
+    f = resolve_function(cfg.p, cfg.n, cfg.K, REAL, cfg.function, cfg.table)
     G = build_g(f)
     failures = []
     it, count = _points(cfg.p, cfg.n, cfg.K, cfg.samples, rng)
@@ -312,7 +308,7 @@ def _suite_theorem1(cfg, rng):
 
 
 def _suite_theorem2(cfg, rng):
-    f = _suite_function(cfg, "padic-sum", PADIC)
+    f = resolve_function(cfg.p, cfg.n, cfg.K, PADIC, cfg.function, cfg.table)
     H = build_h(f, cfg.weights)
     K = cfg.K
     failures = []
@@ -447,7 +443,7 @@ def _quarter_point(va, vb):
 
 
 def _suite_extension(cfg, rng):
-    f = _suite_function(cfg, "norm-product", REAL)
+    f = resolve_function(cfg.p, cfg.n, cfg.K, REAL, cfg.function, cfg.table)
     G = build_g(f)
     values = G.values
     failures = []
@@ -486,114 +482,12 @@ _SUITE_FNS = {
 }
 
 
-def _suite_function(cfg, default, codomain):
-    """The function a table suite checks: ``cfg.table``, else ``cfg.function`` or default."""
-    if cfg.table is not None:
-        return resolve_function(cfg.table, cfg, codomain, table=True)
-    return resolve_function(cfg.function or default, cfg, codomain)
-
-
-def resolve_function(
-    spec: str, cfg: RunConfig, codomain: str, table: bool = False
-) -> CylinderFunction:
-    """Turn a builtin name or a JSON table path into a CylinderFunction.
-
-    With ``table`` set, spec is always a path.  Otherwise it is one when it
-    ends in ``.json`` or holds a path separator, and a builtin name if not.
-    """
-    if table or spec.endswith(".json") or os.path.sep in spec:
-        f = load_table_json(spec)
-        if (f.p, f.n, f.K) != (cfg.p, cfg.n, cfg.K):
-            raise ConfigError(
-                f"table file has (p={f.p}, n={f.n}, K={f.K}), "
-                f"run is configured for (p={cfg.p}, n={cfg.n}, K={cfg.K})"
-            )
-        if f.codomain != codomain:
-            raise ConfigError(
-                f"table codomain {f.codomain!r} does not fit a {codomain!r} suite"
-            )
-        return f
-    return CylinderFunction.from_builtin(spec, cfg.p, cfg.n, cfg.K, codomain=codomain)
-
-
-def load_table_json(path: str) -> CylinderFunction:
-    """Read a cylinder-function table file.
-
-    Expected shape::
-
-        {"p": 2, "n": 2, "K": 1, "codomain": "real",
-         "entries": [{"x": [[0], [0]], "value": 0.0}, ...]}
-
-    Digit lists are little-endian; p-adic values use the textual form
-    ``p:K:d0,...``.  The table must be total over all p**(n*K) keys.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TableFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-
-    if not isinstance(raw, dict):
-        raise TableFormatError(f"{path}: top level must be a JSON object")
-    for fld in ("p", "n", "K", "codomain", "entries"):
-        if fld not in raw:
-            raise TableFormatError(f"{path}: missing field {fld!r}")
-    p, n, K, codomain = raw["p"], raw["n"], raw["K"], raw["codomain"]
-    if codomain not in (REAL, PADIC):
-        raise TableFormatError(f"{path}: codomain must be 'real' or 'padic', got {codomain!r}")
-    if not isinstance(raw["entries"], list):
-        raise TableFormatError(f"{path}: 'entries' must be a list")
-
-    entries = {}
-    for idx, entry in enumerate(raw["entries"]):
-        if not isinstance(entry, dict) or "x" not in entry or "value" not in entry:
-            raise TableFormatError(f"{path}: entry {idx} needs fields 'x' and 'value'")
-        x = entry["x"]
-        if not isinstance(x, list) or len(x) != n:
-            raise TableFormatError(f"{path}: entry {idx} field 'x' must list {n} coordinates")
-        if not all(isinstance(coord, list) for coord in x):
-            raise TableFormatError(
-                f"{path}: entry {idx} field 'x' has a coordinate that is not a list"
-            )
-        try:
-            key = tuple(tuple(int(d) for d in coord) for coord in x)
-        except (TypeError, ValueError):
-            raise TableFormatError(f"{path}: entry {idx} field 'x' has non-integer digits") from None
-        if key in entries:
-            raise TableFormatError(f"{path}: entry {idx} duplicates key {x}")
-        value = entry["value"]
-        if codomain == REAL:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TableFormatError(f"{path}: entry {idx} field 'value' must be a number")
-            if not math.isfinite(float(value)):
-                raise TableFormatError(f"{path}: entry {idx} field 'value' is not finite")
-            entries[key] = float(value)
-        else:
-            if not isinstance(value, str):
-                raise TableFormatError(
-                    f"{path}: entry {idx} field 'value' must be a p-adic literal string"
-                )
-            try:
-                entries[key] = parse_padic(value)
-            except ValueError as exc:
-                raise TableFormatError(f"{path}: entry {idx} field 'value': {exc}") from None
-
-    try:
-        return CylinderFunction.from_table(
-            p, n, K, codomain, entries, name=os.path.basename(path)
-        )
-    except TableFormatError as exc:
-        raise TableFormatError(f"{path}: {exc}") from None
-
-
 def emit_cantor_csv(p: int, n: int, L: int, path: str) -> int:
     """Write ``index,rational,decimal`` rows for all level-L interval left endpoints.
 
     Returns the number of data rows.  Refuses enumerations beyond the size
     limit.
     """
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
     _require_table_size(p, L, "L")
     import csv
 

@@ -21,6 +21,19 @@ def run(capsys, *argv):
     return code, captured.out.splitlines(), captured.err
 
 
+def write_table(path, p, n, K, codomain):
+    """Write a total table file at (p, n, K): real values count up from 0, p-adic ones are 0."""
+    value = float if codomain == "real" else lambda i: f"{p}:{K}:" + ",".join(["0"] * K)
+    entries = [
+        {"x": [list(c) for c in key], "value": value(i)}
+        for i, key in enumerate(table_keys(p, n, K))
+    ]
+    path.write_text(
+        json.dumps({"p": p, "n": n, "K": K, "codomain": codomain, "entries": entries})
+    )
+    return str(path)
+
+
 class TestCodecCommands:
     def test_encode(self, capsys):
         code, out, _ = run(capsys, "encode", "--p", "2", "--n", "2", "--x", "2:3:1,0,0")
@@ -140,6 +153,36 @@ class TestBuildCommands:
         )
         assert code == 2
         assert "codomain" in err
+
+    def test_build_g_refuses_a_padic_table(self, capsys, tmp_path):
+        table = write_table(tmp_path / "f.json", 2, 2, 1, "padic")
+        out_path = tmp_path / "g.json"
+        code, out, err = run(
+            capsys,
+            "build-g",
+            "--p", "2", "--n", "2", "--K", "1",
+            "--table", table,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == []
+        assert err == "error: table file has codomain 'padic', expected 'real'\n"
+        assert not out_path.exists()
+
+    def test_build_g_refuses_a_table_at_other_parameters(self, capsys, tmp_path):
+        table = write_table(tmp_path / "f.json", 2, 2, 1, "real")
+        out_path = tmp_path / "g.json"
+        code, out, err = run(
+            capsys,
+            "build-g",
+            "--p", "2", "--n", "2", "--K", "2",
+            "--table", table,
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == []
+        assert err == "error: table file has (p=2, n=2, K=1), expected (p=2, n=2, K=2)\n"
+        assert not out_path.exists()
 
 
 class TestSuperposeCommand:
@@ -294,6 +337,19 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["params"]["function"] == "realtab"
 
+    def test_function_flag_never_reads_a_file(self, capsys, tmp_path):
+        table = write_table(tmp_path / "f.json", 2, 2, 2, "real")
+        code, out, err = run(
+            capsys,
+            "verify",
+            "--p", "2", "--n", "2", "--K", "2",
+            "--suite", "theorem1",
+            "--function", table,
+        )
+        assert code == 2
+        assert out == []
+        assert err == f"error: unknown builtin function {table!r}\n"
+
     def test_table_flag_never_names_a_builtin(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         code, out, err = run(
@@ -397,6 +453,21 @@ class TestMalformedTableFiles:
                 json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
                             "entries": [{"x": [["a"]], "value": 0.5}]}),
                 "{path}: entry 0 field 'x' has non-integer digits",
+            ),
+            *(
+                (
+                    json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
+                                "entries": [{"x": [[0]], "value": 0.5},
+                                            {"x": [[digit]], "value": 1.5}]}),
+                    "{path}: entry 1 field 'x' has non-integer digits",
+                )
+                for digit in (1.5, True, "1")
+            ),
+            (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
+                            "entries": [{"x": [[0]], "value": 0.5},
+                                        {"x": [[1]], "value": 10**400}]}),
+                "{path}: real table value is too large for a float",
             ),
             (
                 json.dumps({"p": 2, "n": 1, "K": -1, "codomain": "real", "entries": ENTRIES}),
@@ -525,6 +596,16 @@ print(json.dumps({
 """
 
 
+# Run one command in a fresh interpreter without site, then report whether
+# it loaded the verification suites.
+COMMAND_PROBE = """
+import json, sys
+import padic_kas.cli
+code = padic_kas.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "verify": "padic_kas.verify" in sys.modules}))
+"""
+
+
 class TestStartup:
     def test_cli_import_loads_only_what_codec_commands_use(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -538,6 +619,27 @@ class TestStartup:
         assert result["interleave"] == "function"
         assert result["missing"] == []
         assert result["unlisted"] == []
+
+    @pytest.mark.parametrize(
+        "argv, codomain",
+        [
+            (["superpose", "--coord", "3:1:1", "--coord", "3:1:2"], "padic"),
+            (["superpose", "--coord", "3:1:1", "--coord", "3:1:2"], "real"),
+            (["build-h", "--out", "h.json"], "padic"),
+            (["build-g", "--out", "g.json"], "real"),
+        ],
+    )
+    def test_table_commands_do_not_load_verify(self, tmp_path, argv, codomain):
+        table = write_table(tmp_path / "f.json", 3, 2, 1, codomain)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", COMMAND_PROBE, *argv,
+             "--p", "3", "--n", "2", "--K", "1", "--table", table],
+            env=env, cwd=tmp_path, capture_output=True, text=True, check=True, timeout=60,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"code": 0, "verify": False}
 
     def test_weights_flag_choices_match_the_library(self):
         assert WEIGHTS == (WEIGHTS_PROOF, WEIGHTS_PAPER)

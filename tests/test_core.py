@@ -70,6 +70,14 @@ class TestIsPrime:
             with pytest.raises(NonPrimeModulus):
                 is_prime(m)
 
+    def test_cache_is_bounded(self):
+        # Checking many moduli must not keep one cache entry per modulus.
+        for m in range(1000):
+            is_prime(m)
+        info = is_prime.cache_info()
+        assert info.maxsize is not None and info.maxsize <= 32
+        assert info.currsize <= info.maxsize
+
 
 class TestMakePadic:
     def test_empty_digits_zero_pad(self):

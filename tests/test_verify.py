@@ -170,10 +170,19 @@ class TestTheoremSuites:
         path.write_text(
             json.dumps({"p": 2, "n": 2, "K": 1, "codomain": "real", "entries": entries})
         )
-        report = run_verify(
-            RunConfig(p=2, n=2, K=1, suite="theorem1", function=str(path))
-        )
+        report = run_verify(RunConfig(p=2, n=2, K=1, suite="theorem1", table=str(path)))
         assert report.passed
+
+    def test_function_names_only_a_builtin(self, tmp_path):
+        path = tmp_path / "f.json"
+        entries = [
+            {"x": [list(c) for c in key], "value": 0.0} for key in table_keys(2, 2, 1)
+        ]
+        path.write_text(
+            json.dumps({"p": 2, "n": 2, "K": 1, "codomain": "real", "entries": entries})
+        )
+        with pytest.raises(ConfigError, match="^unknown builtin function '.*f.json'$"):
+            run_verify(RunConfig(p=2, n=2, K=1, suite="theorem1", function=str(path)))
 
     def test_table_field_is_always_a_path(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -206,7 +215,7 @@ class TestTheoremSuites:
             json.dumps({"p": 2, "n": 2, "K": 1, "codomain": "real", "entries": entries})
         )
         with pytest.raises(ConfigError):
-            run_verify(RunConfig(p=2, n=2, K=2, suite="theorem1", function=str(path)))
+            run_verify(RunConfig(p=2, n=2, K=2, suite="theorem1", table=str(path)))
 
     def test_codomain_mismatch_for_suite(self, tmp_path):
         path = tmp_path / "f.json"
@@ -217,7 +226,7 @@ class TestTheoremSuites:
             json.dumps({"p": 2, "n": 2, "K": 1, "codomain": "real", "entries": entries})
         )
         with pytest.raises(ConfigError):
-            run_verify(RunConfig(p=2, n=2, K=1, suite="theorem2", function=str(path)))
+            run_verify(RunConfig(p=2, n=2, K=1, suite="theorem2", table=str(path)))
 
 
 class TestBoundSuites:
@@ -461,14 +470,16 @@ class TestQuarterPointOracle:
 
 class TestResolveFunction:
     def test_builtin(self):
-        cfg = RunConfig(p=2, n=2, K=1)
-        f = resolve_function("digit0-1", cfg, "real")
+        f = resolve_function(2, 2, 1, "real", "digit0-1")
         assert f.codomain == "real"
 
     def test_builtin_codomain_conflict(self):
-        cfg = RunConfig(p=2, n=2, K=1)
         with pytest.raises(Exception):
-            resolve_function("padic-sum", cfg, "real")
+            resolve_function(2, 2, 1, "real", "padic-sum")
+
+    def test_verify_reexports_the_table_reader_and_resolver(self):
+        assert verify.load_table_json is superposition.load_table_json
+        assert verify.resolve_function is superposition.resolve_function
 
 
 class TestTableLoading:
