@@ -89,6 +89,7 @@ _LAZY = {
         "build_g",
         "build_h",
         "eval_g",
+        "eval_g_ratio",
         "h_value",
         "load_table_json",
         "superpose1",

@@ -36,8 +36,9 @@ from .errors import (
     SizeLimitExceeded,
     TableFormatError,
 )
-from .interleave import interleave
+from .interleave import merge_order
 
+# Unlisted since tracing __all__ would nest spans: eval_g_ratio, resolve_function, load_table_json.
 __all__ = [
     "REAL",
     "PADIC",
@@ -200,12 +201,16 @@ def _check_header(p, n, K):
 
 
 def _check_point(X, F):
-    """Raise unless X has the arity of F and coordinates at F's p and K."""
-    if X.n != F.n:
-        raise DimensionMismatch(f"point has n={X.n}, expected {F.n}")
-    for c in X.coords:
-        if c.p != F.p or c.K != F.K:
-            raise PrecisionMismatch(f"coordinate ({c.p}, K={c.K}) does not match ({F.p}, K={F.K})")
+    """Raise unless X has the arity of F, n coordinates, each at F's p and K."""
+    n, coords = X
+    if n != F.n:
+        raise DimensionMismatch(f"point has n={n}, expected {F.n}")
+    if len(coords) != n:
+        raise DimensionMismatch(f"point declares n={n} but has {len(coords)} coords")
+    p, K = F.p, F.K
+    for c in coords:
+        if c.p != p or c.K != K:
+            raise PrecisionMismatch(f"coordinate ({c.p}, K={c.K}) does not match ({p}, K={K})")
 
 
 def _check_key(key, p, n, K, dil):
@@ -341,6 +346,10 @@ def load_table_json(path: str) -> CylinderFunction:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError:
+        raise
+    except ValueError:  # an integer over sys.get_int_max_str_digits() digits
+        raise TableFormatError(f"{path}: an integer literal has too many digits") from None
 
     if not isinstance(raw, dict):
         raise TableFormatError(f"{path}: top level must be a JSON object")
@@ -519,9 +528,15 @@ def eval_g(G: GFunction, t) -> float:
     """
     if type(t) is not Fraction:
         t = Fraction(t)
-    num, den = t.numerator, t.denominator
+    return eval_g_ratio(G, t.numerator, t.denominator)
+
+
+def eval_g_ratio(G: GFunction, num: int, den: int) -> float:
+    """:func:`eval_g` at t = num/den, for ints 0 <= num <= den; need not be reduced."""
+    if den < 1:
+        raise DomainViolation(f"denominator {den} is not positive")
     if num < 0 or num > den:
-        raise DomainViolation(f"{t} is outside [0, 1]")
+        raise DomainViolation(f"{Fraction(num, den)} is outside [0, 1]")
     return _eval_g_ratio(G, num, den)
 
 
@@ -685,10 +700,19 @@ def format_key(digits) -> str:
 
 
 def superpose2(H: HFunction, X: PadicPoint) -> PadicScalar:
-    """Interleave X into one variable and look the value up; exact at level K."""
+    """Look h up at z(X)'s digits, exact at level K, without building z.
+
+    The key permutes the coordinates' joined digits by the :func:`.interleave.merge_order`
+    that ``interleave`` and ``cantor.combine`` share.
+    """
     _check_point(X, H)
-    z = interleave(X)
-    key = z.value.digits
+    n, K = H.n, H.K
+    cat = ()
+    for c in X.coords:
+        cat += c.digits
+    if len(cat) != n * K:
+        raise PrecisionMismatch(f"coordinates carry {len(cat)} digits, expected {n * K}")
+    key = merge_order(n, K)(cat)
     if H.weights == WEIGHTS_PAPER:
         key = (0,) + key
     return H.table[key]

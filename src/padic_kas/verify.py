@@ -46,7 +46,7 @@ from .superposition import (
     _require_table_size,
     build_g,
     build_h,
-    eval_g,
+    eval_g_ratio,
     load_table_json,
     resolve_function,
     superpose1,
@@ -451,17 +451,17 @@ def _suite_extension(cfg, rng):
     den = G.q**G.L
     gaps = gap_numerators(G.p, G.n, G.L)
     for (a, b), va, vb in zip(gaps, values, values[1:]):
-        got = eval_g(G, Fraction(a, den))
+        got = eval_g_ratio(G, a, den)
         if got != va:
             _fail(failures, "gap_left_endpoint", _gap_case(a, b, den), repr(got), repr(va))
-        got = eval_g(G, Fraction(b, den))
+        got = eval_g_ratio(G, b, den)
         if got != vb:
             _fail(failures, "gap_right_endpoint", _gap_case(a, b, den), repr(got), repr(vb))
-        mid = eval_g(G, Fraction(2 * (a + b), 4 * den))
+        mid = eval_g_ratio(G, 2 * (a + b), 4 * den)
         mean = (va + vb) / 2
         if mid != mean:
             _fail(failures, "gap_midpoint", _gap_case(a, b, den), repr(mid), repr(mean))
-        at_quarter = eval_g(G, Fraction(3 * a + b, 4 * den))
+        at_quarter = eval_g_ratio(G, 3 * a + b, 4 * den)
         expected = _quarter_point(va, vb)
         if at_quarter != expected:
             _fail(

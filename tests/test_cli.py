@@ -470,6 +470,11 @@ class TestMalformedTableFiles:
                 "{path}: real table value is too large for a float",
             ),
             (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real", "entries": ENTRIES})
+                .replace("1.5", "1" * 5000),
+                "{path}: an integer literal has too many digits",
+            ),
+            (
                 json.dumps({"p": 2, "n": 1, "K": -1, "codomain": "real", "entries": ENTRIES}),
                 "level K must be >= 1, got -1",
             ),

@@ -18,6 +18,7 @@ from padic_kas import (
     EXHAUSTIVE_LIMIT,
     GFunction,
     InterleavedPadic,
+    PadicPoint,
     PadicScalar,
     PrecisionMismatch,
     SizeLimitExceeded,
@@ -33,9 +34,11 @@ from padic_kas import (
     combine,
     deinterleave,
     eval_g,
+    eval_g_ratio,
     extract,
     gap_intervals,
     h_value,
+    interleave,
     interval_left_endpoints,
     interval_numerators,
     make_padic,
@@ -471,6 +474,28 @@ class TestEvalGBisect:
             got = superposition._eval_g_ratio(G, c * t.numerator, c * t.denominator)
             assert repr(got) == repr(eval_g(G, t)), (t, c)
 
+    def test_public_ratio_entry_point_matches_eval_g(self):
+        G = build_g(random_real_table(2, 2, 2, random.Random(14)))
+        den = 4 * G.q**G.L
+        for num in range(den + 1):
+            assert repr(eval_g_ratio(G, 3 * num, 3 * den)) == repr(eval_g(G, Fraction(num, den)))
+
+    @pytest.mark.parametrize(
+        "num,den,message",
+        [
+            (-1, 2, "-1/2 is outside [0, 1]"),
+            (5, 4, "5/4 is outside [0, 1]"),
+            (6, 4, "3/2 is outside [0, 1]"),
+            (0, 0, "denominator 0 is not positive"),
+            (-1, -2, "denominator -2 is not positive"),
+        ],
+    )
+    def test_ratio_entry_point_checks_its_domain(self, num, den, message):
+        G = build_g(random_real_table(2, 2, 1, random.Random(15)))
+        with pytest.raises(DomainViolation) as excinfo:
+            eval_g_ratio(G, num, den)
+        assert str(excinfo.value) == message
+
     def test_inputs_convert_as_fraction_converts_them(self):
         G = build_g(random_real_table(2, 2, 2, random.Random(11)))
         cases = [
@@ -619,6 +644,43 @@ class TestSuperpose2:
         H = build_h(CylinderFunction.from_builtin("padic-sum", 2, 2, 1))
         with pytest.raises(DimensionMismatch):
             superpose2(H, pt(2, 1, 1))
+
+    @pytest.mark.parametrize("weights", [WEIGHTS_PROOF, WEIGHTS_PAPER])
+    @pytest.mark.parametrize("p,n,K", [(2, 2, 3), (3, 2, 2), (2, 3, 2), (5, 1, 2)])
+    def test_key_is_the_interleaved_digits(self, p, n, K, weights):
+        H = build_h(random_padic_table(p, n, K, random.Random(100 * p + 10 * n + K)), weights)
+        lead = (0,) if weights == WEIGHTS_PAPER else ()
+        for X in all_points(p, n, K):
+            assert superpose2(H, X) is H.table[lead + interleave(X).value.digits]
+
+    @pytest.mark.parametrize("weights", [WEIGHTS_PROOF, WEIGHTS_PAPER])
+    def test_malformed_points_raise_the_interleave_errors(self, weights):
+        H = build_h(CylinderFunction.from_builtin("padic-sum", 2, 2, 2), weights)
+        a = padic_from_int(1, 2, 2)
+        cases = [
+            (PadicPoint(3, (a, a, a)), DimensionMismatch),
+            (PadicPoint(2, (a, a, a)), DimensionMismatch),
+            (PadicPoint(2, (a,)), DimensionMismatch),
+            (PadicPoint(2, (a, padic_from_int(1, 3, 2))), PrecisionMismatch),
+            (PadicPoint(2, (a, padic_from_int(1, 2, 3))), PrecisionMismatch),
+            (PadicPoint(2, (a, TruncatedPadicInt(2, 2, (1,)))), PrecisionMismatch),
+            (PadicPoint(2, (a, TruncatedPadicInt(2, 2, (1, 0, 1)))), PrecisionMismatch),
+        ]
+        for X, error in cases:
+            with pytest.raises(error):
+                superpose2(H, X)
+
+
+class TestPointArity:
+    def test_every_evaluator_refuses_a_point_with_the_wrong_coordinate_count(self):
+        a = padic_from_int(1, 2, 2)
+        f = CylinderFunction.from_builtin("norm-product", 2, 2, 2)
+        G = build_g(f)
+        H = build_h(CylinderFunction.from_builtin("padic-sum", 2, 2, 2))
+        for X in (PadicPoint(2, (a, a, a)), PadicPoint(2, (a,))):
+            for call in (f, lambda X: superpose1(G, X), lambda X: superpose2(H, X)):
+                with pytest.raises(DimensionMismatch, match="declares n=2 but has"):
+                    call(X)
 
 
 class TestWeightConventions:
