@@ -17,15 +17,14 @@ Both identities are exact at precision K for every input, never approximate.
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import attrgetter, getitem
 
 from .cantor import gap_intervals, interval_numerators
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add, parse_padic
+from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
 from .errors import (
     CodomainMismatch,
     ConfigError,
@@ -114,14 +113,9 @@ class CylinderFunction:
     @property
     def table(self):
         """The table keyed by n-tuples of K-digit tuples, in index order, or None."""
-        if self.values is None:
-            return None
-        n = self.n
-        keys = (
-            tuple(zdig[k::n] for k in range(n))
-            for zdig in product(range(self.p), repeat=n * self.K)
-        )
-        return dict(zip(keys, self.values))
+        if self.values is not None:
+            points = _points_in_order(self.p, self.n, self.K)
+            return {tuple(map(_digits, X.coords)): v for (_, X), v in zip(points, self.values)}
 
     @classmethod
     def from_builtin(cls, name, p, n, K, codomain=None):
@@ -151,8 +145,18 @@ class CylinderFunction:
         dil = _dilations(p, n, K)
         size = p ** (n * K)
         values = [None] * size
+        check = _real_value if codomain == REAL else partial(_padic_value, p, K)
         for key, value in entries.items():
-            values[_check_key(key, p, n, K, dil)] = _check_value(value, codomain, p, K)
+            value = check(value)
+            # A key of n valid digit tuples is looked up as given; any other
+            # has its digits read through int(), or its fault named, by _check_key.
+            try:
+                if len(key) == n:
+                    values[sum(map(getitem, dil, key))] = value
+                    continue
+            except (KeyError, TypeError):
+                pass
+            values[_check_key(key, p, n, K, dil)] = value
         missing = values.count(None)
         if missing:
             raise TableFormatError(f"table has {size - missing} entries, expected {size}")
@@ -173,21 +177,13 @@ class CylinderFunction:
             raise ValueError(f"lift target {K_new} is below current level {self.K}")
         if K_new == self.K:
             return self
-        base = self
+        K, fn = self.K, self._fn
 
-        def fn(X):
-            cut = PadicPoint(
-                X.n,
-                tuple(
-                    TruncatedPadicInt(c.p, base.K, c.digits[: base.K])
-                    for c in X.coords
-                ),
-            )
-            return base(cut)
+        def cut(X):
+            coords = tuple(TruncatedPadicInt(c.p, K, c.digits[:K]) for c in X.coords)
+            return fn(PadicPoint(X.n, coords))
 
-        return CylinderFunction(
-            self.p, self.n, K_new, self.codomain, fn, f"{self.name}@K{K_new}"
-        )
+        return CylinderFunction(self.p, self.n, K_new, self.codomain, cut, f"{self.name}@K{K_new}")
 
 
 def _check_header(p, n, K):
@@ -234,15 +230,17 @@ def _check_key(key, p, n, K, dil):
                 raise TableFormatError(f"key {key} digit {d} not in [0, {p - 1}]")
 
 
-def _check_value(value, codomain, p, K):
-    if codomain == REAL:
-        try:
-            v = float(value)
-        except OverflowError:
-            raise TableFormatError("real table value is too large for a float") from None
-        if not math.isfinite(v):
-            raise TableFormatError(f"real table value {value!r} is not finite")
-        return v
+def _real_value(value):
+    try:
+        v = float(value)
+    except OverflowError:
+        raise TableFormatError("real table value is too large for a float") from None
+    if not math.isfinite(v):
+        raise TableFormatError(f"real table value {value!r} is not finite")
+    return v
+
+
+def _padic_value(p, K, value):
     if not isinstance(value, TruncatedPadicInt):
         raise TableFormatError(f"p-adic table value {value!r} is not a TruncatedPadicInt")
     if value.p != p or value.K != K:
@@ -250,17 +248,6 @@ def _check_value(value, codomain, p, K):
             f"p-adic table value has (p={value.p}, K={value.K}), expected (p={p}, K={K})"
         )
     return value
-
-
-def _coord_index(name, prefix, n):
-    k = name[len(prefix):]
-    try:
-        k = int(k)
-    except ValueError:
-        raise ConfigError(f"bad coordinate index in builtin {name!r}") from None
-    if k < 1 or k > n:
-        raise ConfigError(f"builtin {name!r} indexes coordinate {k}, arity is {n}")
-    return k - 1
 
 
 def _norm(p, coords):
@@ -293,16 +280,21 @@ def _resolve_builtin(name, p, n, K, codomain):
         return PADIC, lambda X: reduce(padic_add, X.coords)
     if name == "norm-product":
         return REAL, lambda X: _norm(p, X.coords)
-    if name.startswith("proj-"):
-        k = _coord_index(name, "proj-", n)
+    kind, dash, k = name.partition("-")
+    if not dash or kind not in ("proj", "norm", "digit0"):
+        raise ConfigError(f"unknown builtin function {name!r}")
+    try:
+        k = int(k)
+    except ValueError:
+        raise ConfigError(f"bad coordinate index in builtin {name!r}") from None
+    if not 1 <= k <= n:
+        raise ConfigError(f"builtin {name!r} indexes coordinate {k}, arity is {n}")
+    k -= 1
+    if kind == "proj":
         return PADIC, lambda X: X.coords[k]
-    if name.startswith("norm-"):
-        k = _coord_index(name, "norm-", n)
+    if kind == "norm":
         return REAL, lambda X: _norm(p, (X.coords[k],))
-    if name.startswith("digit0-"):
-        k = _coord_index(name, "digit0-", n)
-        return REAL, lambda X: float(X.coords[k].digits[0])
-    raise ConfigError(f"unknown builtin function {name!r}")
+    return REAL, lambda X: float(X.coords[k].digits[0])
 
 
 def resolve_function(p, n, K, codomain=None, function=None, table=None):
@@ -327,78 +319,10 @@ def resolve_function(p, n, K, codomain=None, function=None, table=None):
 
 
 def load_table_json(path: str) -> CylinderFunction:
-    """Read a cylinder-function table file.
+    """Read a cylinder-function table file: :func:`.tablefile.read_table`."""
+    from .tablefile import read_table
 
-    Expected shape::
-
-        {"p": 2, "n": 2, "K": 1, "codomain": "real",
-         "entries": [{"x": [[0], [0]], "value": 0.0}, ...]}
-
-    Digit lists are little-endian lists of JSON integers; p-adic values use
-    the textual form ``p:K:d0,...``.  The table must be total over all
-    p**(n*K) keys.  Real values go to :meth:`CylinderFunction.from_table`
-    as read, so its checks are the ones that apply.
-    """
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise TableFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    except UnicodeDecodeError:
-        raise
-    except ValueError:  # an integer over sys.get_int_max_str_digits() digits
-        raise TableFormatError(f"{path}: an integer literal has too many digits") from None
-
-    if not isinstance(raw, dict):
-        raise TableFormatError(f"{path}: top level must be a JSON object")
-    for fld in ("p", "n", "K", "codomain", "entries"):
-        if fld not in raw:
-            raise TableFormatError(f"{path}: missing field {fld!r}")
-    p, n, K, codomain = raw["p"], raw["n"], raw["K"], raw["codomain"]
-    if codomain not in (REAL, PADIC):
-        raise TableFormatError(f"{path}: codomain must be 'real' or 'padic', got {codomain!r}")
-    if not isinstance(raw["entries"], list):
-        raise TableFormatError(f"{path}: 'entries' must be a list")
-
-    entries = {}
-    for idx, entry in enumerate(raw["entries"]):
-        if not isinstance(entry, dict) or "x" not in entry or "value" not in entry:
-            raise TableFormatError(f"{path}: entry {idx} needs fields 'x' and 'value'")
-        x = entry["x"]
-        if not isinstance(x, list) or len(x) != n:
-            raise TableFormatError(f"{path}: entry {idx} field 'x' must list {n} coordinates")
-        if not all(isinstance(coord, list) for coord in x):
-            raise TableFormatError(
-                f"{path}: entry {idx} field 'x' has a coordinate that is not a list"
-            )
-        key = tuple(map(tuple, x))
-        if not all(type(d) is int for coord in key for d in coord):
-            raise TableFormatError(f"{path}: entry {idx} field 'x' has non-integer digits")
-        if key in entries:
-            raise TableFormatError(f"{path}: entry {idx} duplicates key {x}")
-        value = entry["value"]
-        if codomain == REAL:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TableFormatError(f"{path}: entry {idx} field 'value' must be a number")
-        elif not isinstance(value, str):
-            raise TableFormatError(
-                f"{path}: entry {idx} field 'value' must be a p-adic literal string"
-            )
-        else:
-            try:
-                value = parse_padic(value)
-            except ValueError as exc:
-                raise TableFormatError(f"{path}: entry {idx} field 'value': {exc}") from None
-        entries[key] = value
-
-    try:
-        return CylinderFunction.from_table(
-            p, n, K, codomain, entries, name=os.path.basename(path)
-        )
-    except TableFormatError as exc:
-        raise TableFormatError(f"{path}: {exc}") from None
+    return read_table(path)
 
 
 class GFunction:

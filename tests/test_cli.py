@@ -501,6 +501,28 @@ class TestMalformedTableFiles:
         assert out == []
         assert err == f"error: {message.format(path=path)}\n"
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"[" * 100000 + b"]" * 100000, "{path}: JSON nests too deeply"),
+            (
+                b"\xff\xfe",
+                "{path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+            ),
+        ],
+        ids=["nested-too-deeply", "not-utf-8"],
+    )
+    def test_unreadable_file_is_named(self, capsys, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        code, out, err = run(
+            capsys, "superpose", "--p", "2", "--n", "1", "--K", "1", "--table", str(path),
+            "--coord", "2:1:0",
+        )
+        assert code == 2
+        assert out == []
+        assert err == f"error: {message.format(path=path)}\n"
+
 
 class TestEmitCantorCommand:
     def test_writes_rows(self, capsys, tmp_path):

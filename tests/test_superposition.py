@@ -130,6 +130,26 @@ class TestBuiltins:
         with pytest.raises(ConfigError):
             CylinderFunction.from_builtin("proj-0", 2, 2, 1)
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("cube", "unknown builtin function 'cube'"),
+            ("proj", "unknown builtin function 'proj'"),
+            ("zero-1", "unknown builtin function 'zero-1'"),
+            ("digits0-1", "unknown builtin function 'digits0-1'"),
+            ("proj-", "bad coordinate index in builtin 'proj-'"),
+            ("norm-x", "bad coordinate index in builtin 'norm-x'"),
+            ("digit0-1-2", "bad coordinate index in builtin 'digit0-1-2'"),
+            ("proj-3", "builtin 'proj-3' indexes coordinate 3, arity is 2"),
+            ("norm-0", "builtin 'norm-0' indexes coordinate 0, arity is 2"),
+            ("digit0--1", "builtin 'digit0--1' indexes coordinate -1, arity is 2"),
+        ],
+    )
+    def test_bad_names_are_named(self, name, message):
+        with pytest.raises(ConfigError) as err:
+            CylinderFunction.from_builtin(name, 2, 2, 1)
+        assert str(err.value) == message
+
     def test_codomain_conflict(self):
         with pytest.raises(CodomainMismatch):
             CylinderFunction.from_builtin("padic-sum", 2, 2, 1, codomain="real")
@@ -838,6 +858,28 @@ def superpose1_per_digit(G, X):
     return G.values[i]
 
 
+def normalise_first_index(key, p, n, K):
+    """The index of a table key, every digit passed through int() first.
+
+    Raises what from_table raised for the key when it read every key this
+    way: the reference for the keys it now looks up as given.
+    """
+    key = tuple(tuple(map(int, coord)) for coord in key)
+    if len(key) != n:
+        raise TableFormatError(f"key {key} has {len(key)} coordinates, expected {n}")
+    for coord in key:
+        if len(coord) != K:
+            raise TableFormatError(f"key {key} has a {len(coord)}-digit coordinate, expected {K}")
+        for d in coord:
+            if d < 0 or d >= p:
+                raise TableFormatError(f"key {key} digit {d} not in [0, {p - 1}]")
+    i = 0
+    for column in zip(*key):
+        for d in column:
+            i = i * p + d
+    return i
+
+
 class TestIndexOrderedTables:
     """from_table stores values in the order build_g and build_h emit them."""
 
@@ -924,6 +966,75 @@ class TestIndexOrderedTables:
         entries = {((0,),): 0.0, ((1,),): 1.0, (("1",),): 2.0}
         f = CylinderFunction.from_table(2, 1, 1, "real", entries)
         assert f.values == [0.0, 2.0]
+
+    def test_exact_keys_skip_int(self):
+        # Digits that equal 0 and 1 and hash like them are looked up as given.
+        class Digit(int):
+            def __int__(self):
+                raise AssertionError("an exact digit went through int()")
+
+        entries = {((Digit(0),),): 0.5, ((Digit(1),),): 1.5}
+        f = CylinderFunction.from_table(2, 1, 1, "real", entries)
+        assert f.values == [0.5, 1.5]
+
+    @pytest.mark.parametrize("one", [True, 1.0, "1", Fraction(1), 1.9])
+    def test_inexact_digits_read_as_their_int(self, one):
+        entries = {key: 2.0 for key in table_keys(2, 2, 2) if key != ((0, 1), (0, 0))}
+        entries[((0, one), (0, 0))] = 1.0
+        f = CylinderFunction.from_table(2, 2, 2, "real", entries)
+        assert f.values[normalise_first_index(((0, 1), (0, 0)), 2, 2, 2)] == 1.0
+        assert f.values.count(2.0) == 15
+
+    @pytest.mark.parametrize(
+        "make_key",
+        [
+            lambda: ((0, 1), (2, 0)),
+            lambda: ((True, 0), (2, 1.0)),
+            lambda: (("1", "0"), (b"\x02", 0)),
+            lambda: (range(2), (2, 0)),
+            lambda: ((Fraction(2), 2.9), (0, 0)),
+            lambda: (c for c in ((0, 1), (2, 0))),
+            lambda: ((0, 1, 0), (0, 0)),
+            lambda: ((0,), (0, 0)),
+            lambda: ((0, 3), (0, 0)),
+            lambda: ((0, 3.0), (0, 0)),
+            lambda: ((-1, 0), (0, 0)),
+            lambda: ((0, 10**30), (0, 0)),
+            lambda: ((0, 0),),
+            lambda: ((0, 0), (0, 0), (0, 0)),
+            lambda: (),
+            lambda: ((), ()),
+            lambda: "ab",
+            lambda: "a",
+            lambda: 5,
+            lambda: None,
+            lambda: ((None, 0), (0, 0)),
+            lambda: ((0, "x"), (0, 0)),
+            lambda: (((0,), 0), (0, 0)),
+        ],
+    )
+    def test_keys_fare_as_when_every_digit_went_through_int(self, make_key):
+        # from_table looks exact keys up as given; the reference reads every
+        # key through int() first.  Both must accept the same keys at the
+        # same index and reject the rest with the same error.
+        p, n, K = 3, 2, 2
+        try:
+            expected = "index", normalise_first_index(make_key(), p, n, K)
+        except Exception as exc:
+            expected = type(exc), str(exc)
+        entries = {}
+        if expected[0] == "index":
+            entries = {
+                key: 0.0
+                for key in table_keys(p, n, K)
+                if normalise_first_index(key, p, n, K) != expected[1]
+            }
+        entries[make_key()] = 1.0
+        try:
+            got = "index", CylinderFunction.from_table(p, n, K, "real", entries).values.index(1.0)
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == expected
 
     def test_oversized_table_is_refused_before_any_key(self):
         # 2**20 inputs, just over the limit; the bad key is never read.
