@@ -12,62 +12,11 @@ The package provides:
 * verification suites and a CLI (:mod:`.verify`, :mod:`.cli`).
 """
 
-from .cantor import (
-    CantorValue,
-    cantor_decode,
-    cantor_encode,
-    cantor_to_rational,
-    combine,
-    extract,
-    format_cantor,
-    gap_intervals,
-    gap_numerators,
-    interval_left_endpoints,
-    interval_numerators,
-    make_cantor,
-    parse_cantor,
-    phi_full,
-    spread,
-)
-from .core import (
-    PadicPoint,
-    PadicScalar,
-    TruncatedPadicInt,
-    format_padic,
-    is_prime,
-    make_padic,
-    make_point,
-    padic_add,
-    padic_from_int,
-    padic_norm,
-    padic_shift,
-    padic_sub,
-    parse_padic,
-    point_distance,
-)
-from .errors import (
-    ArityMismatch,
-    CodomainMismatch,
-    ConfigError,
-    DigitOutOfRange,
-    DimensionMismatch,
-    DomainViolation,
-    IndexOutOfRange,
-    InvalidCantorDigit,
-    NonPrimeModulus,
-    PadicKasError,
-    PrecisionMismatch,
-    SizeLimitExceeded,
-    TableFormatError,
-)
-from .interleave import (
-    InterleavedPadic,
-    deinterleave,
-    deinterleave_k,
-    interleave,
-    make_interleaved,
-    omega,
-)
+# The eager names are each module's __all__ (errors: every class it defines).
+from .cantor import *
+from .core import *
+from .errors import *
+from .interleave import *
 
 
 # The representatives and the verification suites are imported on first use

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mod, mul
 
-from .core import TruncatedPadicInt, is_prime, named_tuple
+from .core import TruncatedPadicInt, _new, is_prime, named_tuple
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -45,10 +45,6 @@ __all__ = [
     "format_cantor",
     "parse_cantor",
 ]
-
-# As in interleave: the chain maps skip the named tuple's Python-level
-# __new__ and build their values with the tuple constructor directly.
-_new = tuple.__new__
 
 
 @named_tuple("p n digits")

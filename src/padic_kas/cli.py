@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .cantor import (
     cantor_decode,
+    cantor_encode,
     cantor_to_rational,
     extract,
     format_cantor,
@@ -133,10 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_encode(args):
-    from .cantor import cantor_encode
-
+    """encode and phi: the stride-1 or the spread base-q encode."""
     x = _parse_padic_at(args.x, args.p)
-    c = cantor_encode(x, args.n)
+    c = (cantor_encode if args.command == "encode" else phi_full)(x, args.n)
     print(format_cantor(c))
     print(_rational(cantor_to_rational(c)))
     return 0
@@ -145,14 +145,6 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     c = parse_cantor(args.cantor, args.p, args.n)
     print(format_padic(cantor_decode(c)))
-    return 0
-
-
-def _cmd_phi(args):
-    x = _parse_padic_at(args.x, args.p)
-    c = phi_full(x, args.n)
-    print(format_cantor(c))
-    print(_rational(cantor_to_rational(c)))
     return 0
 
 
@@ -186,9 +178,14 @@ def _cmd_deinterleave(args):
     return 0
 
 
-def _cmd_build_g(args):
+def _write_json(path, payload):
     import json
 
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True)
+
+
+def _cmd_build_g(args):
     from .superposition import REAL, build_g, resolve_function
 
     f = resolve_function(args.p, args.n, args.K, REAL, args.function, args.table)
@@ -204,8 +201,7 @@ def _cmd_build_g(args):
             {"digits": list(key), "value": value} for key, value in G.table.items()
         ],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    _write_json(args.out, payload)
     # Gap i lies between intervals i and i+1; for n = 1 the intervals touch.
     intervals = len(G.values)
     gaps = 0 if G.n == 1 else intervals - 1
@@ -214,8 +210,6 @@ def _cmd_build_g(args):
 
 
 def _cmd_build_h(args):
-    import json
-
     from .superposition import PADIC, build_h, resolve_function
 
     f = resolve_function(args.p, args.n, args.K, PADIC, args.function, args.table)
@@ -232,8 +226,7 @@ def _cmd_build_h(args):
             for key, scalar in H.table.items()
         ],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+    _write_json(args.out, payload)
     print(f"wrote {len(H.table)} entries to {args.out}")
     return 0
 
@@ -248,15 +241,14 @@ def _cmd_superpose(args):
     if f.codomain == PADIC:
         H = build_h(f, args.weights)
         got = superpose2(H, X).to_padic_int(f.K)
-        print(f"result: {format_padic(got)}")
-        print(f"direct: {format_padic(direct)}")
-        match = got == direct
+        show = format_padic
     else:
         G = build_g(f)
         got = superpose1(G, X)
-        print(f"result: {got!r}")
-        print(f"direct: {direct!r}")
-        match = got == direct
+        show = repr
+    print(f"result: {show(got)}")
+    print(f"direct: {show(direct)}")
+    match = got == direct
     print(f"match: {'yes' if match else 'no'}")
     return 0 if match else 1
 
@@ -311,7 +303,7 @@ def _cmd_emit_cantor(args):
 _COMMANDS = {
     "encode": _cmd_encode,
     "decode": _cmd_decode,
-    "phi": _cmd_phi,
+    "phi": _cmd_encode,
     "psi": _cmd_psi,
     "interleave": _cmd_interleave,
     "deinterleave": _cmd_deinterleave,
@@ -332,10 +324,7 @@ def cli_dispatch(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (PadicKasError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (PadicKasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

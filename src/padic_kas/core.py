@@ -36,6 +36,12 @@ __all__ = [
 ]
 
 
+# A named tuple's __new__ is a Python-level wrapper around this call.  The
+# digit maps and tabulations call it directly, which saves one interpreter
+# frame per value built; exhaustive verification builds millions of them.
+_new = tuple.__new__
+
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # for every p below PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

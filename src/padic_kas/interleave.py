@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import itemgetter
 
-from .core import PadicPoint, TruncatedPadicInt, named_tuple
+from .core import PadicPoint, TruncatedPadicInt, _new, named_tuple
 from .errors import ArityMismatch, DimensionMismatch, IndexOutOfRange, PrecisionMismatch
 
 __all__ = [
@@ -22,11 +22,6 @@ __all__ = [
     "deinterleave_k",
     "deinterleave",
 ]
-
-# A named tuple's __new__ is a Python-level wrapper around this call.
-# interleave and deinterleave call it directly, which saves one interpreter
-# frame per value built; exhaustive verification builds millions of them.
-_new = tuple.__new__
 
 
 @named_tuple("value n")

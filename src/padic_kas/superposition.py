@@ -24,7 +24,7 @@ from itertools import product
 from operator import attrgetter, getitem
 
 from .cantor import gap_intervals, interval_numerators
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, is_prime, padic_add
+from .core import PadicPoint, PadicScalar, TruncatedPadicInt, _new, is_prime, padic_add
 from .errors import (
     CodomainMismatch,
     ConfigError,
@@ -68,10 +68,6 @@ BUILTIN_NAMES = ("zero", "proj-K", "padic-sum", "norm-K", "norm-product", "digit
 
 # The most entries a table may have; exhaustive enumeration stays within it.
 EXHAUSTIVE_LIMIT = 10**6
-
-# A named tuple's __new__ is a Python-level wrapper around this call; the
-# tabulations build their points with it directly, as interleave does.
-_new = tuple.__new__
 
 _digits = attrgetter("digits")
 
@@ -615,12 +611,8 @@ def h_value(H: HFunction, z: TruncatedPadicInt) -> PadicScalar:
         return H.table[z.digits]
     except KeyError:
         raise DomainViolation(
-            f"{format_key(z.digits)} is outside the representative's domain"
+            f"{','.join(map(str, z.digits))} is outside the representative's domain"
         ) from None
-
-
-def format_key(digits) -> str:
-    return ",".join(map(str, digits))
 
 
 def superpose2(H: HFunction, X: PadicPoint) -> PadicScalar:

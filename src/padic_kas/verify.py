@@ -29,6 +29,7 @@ from .core import (
     PadicPoint,
     PadicScalar,
     TruncatedPadicInt,
+    _new,
     format_padic,
     is_prime,
     padic_norm,
@@ -65,8 +66,6 @@ __all__ = [
     "resolve_function",
 ]
 
-SUITES = ("roundtrip", "theorem1", "theorem2", "lemma1", "lemma2", "holder", "extension")
-
 # Fixed digit count for the sampled pair-distance bound check.
 LEMMA1_LEVEL = 8
 
@@ -74,9 +73,6 @@ LEMMA1_LEVEL = 8
 # most EXHAUSTIVE_LIMIT tuples of up to 19 digits, so a sampled one does
 # work of the same order.
 SAMPLE_DIGIT_LIMIT = 10**7
-
-# The raw constructor behind a named tuple's __new__, as the library uses it.
-_new = tuple.__new__
 
 
 class RunConfig:
@@ -480,6 +476,7 @@ _SUITE_FNS = {
     "holder": _suite_holder,
     "extension": _suite_extension,
 }
+SUITES = tuple(_SUITE_FNS)
 
 
 def emit_cantor_csv(p: int, n: int, L: int, path: str) -> int:

@@ -272,6 +272,19 @@ class TestGaps:
         assert interval_numerators(p, n, L) == numerals
         assert interval_left_endpoints(p, n, L) == [m / q**L for m in numerals]
 
+    @pytest.mark.parametrize(
+        "n,L,error,message",
+        [
+            (0, 3, ArityMismatch, "arity must be >= 1, got 0"),
+            (2, 0, ValueError, "level must be >= 1, got 0"),
+        ],
+    )
+    def test_numerators_reject_bad_arity_or_level(self, n, L, error, message):
+        with pytest.raises(error) as exc:
+            interval_numerators(2, n, L)
+        assert exc.type is error
+        assert str(exc.value) == message
+
 
 class TestContinuityWitnesses:
     def test_encode_preserves_digit_prefixes_exhaustive(self):

@@ -1,5 +1,6 @@
 """Command-line dispatch: output formats and exit codes."""
 
+import errno
 import json
 import os
 import subprocess
@@ -475,6 +476,14 @@ class TestMalformedTableFiles:
                 "{path}: an integer literal has too many digits",
             ),
             (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "complex", "entries": ENTRIES}),
+                "{path}: codomain must be 'real' or 'padic', got 'complex'",
+            ),
+            (
+                json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real", "entries": {}}),
+                "{path}: 'entries' must be a list",
+            ),
+            (
                 json.dumps({"p": 2, "n": 1, "K": -1, "codomain": "real", "entries": ENTRIES}),
                 "level K must be >= 1, got -1",
             ),
@@ -581,11 +590,28 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["superpose", "--table", "{missing}", "--coord", "2:1:0"],
+            ["build-g", "--function", "zero", "--out", "{missing}"],
+        ],
+        ids=["table-file-missing", "out-dir-missing"],
+    )
+    def test_os_error_is_one_line(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "no-such-dir" / "f.json")
+        argv = [arg.format(missing=missing) for arg in argv]
+        code, out, err = run(capsys, *argv, "--p", "2", "--n", "1", "--K", "1")
+        assert code == 2
+        assert out == []
+        assert err == f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {missing!r}\n"
 
-# Every name the package exported when it imported all of its modules eagerly.
+
+# Every name the package exports.  Its modules' __all__ and _LAZY decide them,
+# so this list is what catches a dropped name.
 PACKAGE_NAMES = (
     "CantorValue", "cantor_decode", "cantor_encode", "cantor_to_rational", "combine",
-    "extract", "format_cantor", "gap_intervals", "interval_left_endpoints",
+    "extract", "format_cantor", "gap_intervals", "gap_numerators", "interval_left_endpoints",
     "interval_numerators", "make_cantor", "parse_cantor", "phi_full", "spread",
     "PadicPoint", "PadicScalar", "TruncatedPadicInt", "format_padic", "is_prime",
     "make_padic", "make_point", "padic_add", "padic_from_int", "padic_norm", "padic_shift",
@@ -597,8 +623,8 @@ PACKAGE_NAMES = (
     "InterleavedPadic", "deinterleave", "deinterleave_k", "interleave", "make_interleaved",
     "omega",
     "BUILTIN_NAMES", "PADIC", "REAL", "WEIGHTS_PAPER", "WEIGHTS_PROOF", "CylinderFunction",
-    "GFunction", "HFunction", "build_g", "build_h", "eval_g", "h_value", "superpose1",
-    "superpose2",
+    "GFunction", "HFunction", "build_g", "build_h", "eval_g", "eval_g_ratio", "h_value",
+    "superpose1", "superpose2", "table_fits",
     "EXHAUSTIVE_LIMIT", "SUITES", "RunConfig", "VerificationReport", "emit_cantor_csv",
     "load_table_json", "run_verify",
     "cantor", "core", "errors", "superposition", "verify", "__version__",

@@ -105,6 +105,20 @@ class TestMakePadic:
         with pytest.raises(PrecisionMismatch):
             make_padic([1, 0, 1, 0], 2, 3)
 
+    @pytest.mark.parametrize(
+        "build,args,error,message",
+        [
+            (make_padic, ([], 2, 0), ValueError, "precision K must be >= 1, got 0"),
+            (padic_from_int, (5, 4, 2), NonPrimeModulus, "modulus 4 is not prime"),
+            (padic_from_int, (5, 2, 0), ValueError, "precision K must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_modulus_or_precision(self, build, args, error, message):
+        with pytest.raises(error) as exc:
+            build(*args)
+        assert exc.type is error
+        assert str(exc.value) == message
+
     def test_equality_is_structural(self):
         assert make_padic([1, 1], 2, 3) == make_padic([1, 1, 0], 2, 3)
         assert make_padic([1], 2, 2) != make_padic([1], 2, 3)

@@ -100,6 +100,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(p=2, n=2, K=2, weights="midway")
 
+    @pytest.mark.parametrize(
+        "n,K,message", [(0, 2, "n must be >= 1, got 0"), (2, 0, "K must be >= 1, got 0")]
+    )
+    def test_rejects_nonpositive_arity_and_level(self, n, K, message):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig(p=2, n=n, K=K)
+        assert exc.type is ConfigError
+        assert str(exc.value) == message
+
     def test_all_expands_to_every_suite(self):
         cfg = RunConfig(p=2, n=2, K=1)
         assert len(cfg.selected_suites()) == 7
