@@ -15,7 +15,6 @@ from itertools import product
 import pytest
 
 from padic_kas import (
-    CantorValue,
     ConfigError,
     PadicPoint,
     RunConfig,
@@ -25,8 +24,16 @@ from padic_kas import (
     cantor_to_rational,
     combine,
     emit_cantor_csv,
+    format_cantor,
+    format_padic,
+    gap_numerators,
     load_table_json,
+    make_interleaved,
+    padic_norm,
+    padic_sub,
     parse_cantor,
+    parse_padic,
+    point_distance,
     run_verify,
 )
 from padic_kas import superposition, verify
@@ -352,65 +359,258 @@ def _digest(report):
 
 
 def _corrupt_first_digit(value):
-    return CantorValue(value.p, value.n, (2,) + value.digits[1:])
+    return value._replace(digits=(2,) + value.digits[1:])
 
 
-class TestSuitesCatchACorruptedValue:
-    # Each pair suite evaluates a value once and pairs it with every other;
-    # one corrupted library result must still fail every pair it meets.
+def _drop_top_digit(value):
+    return value._replace(digits=value.digits[:-1] + (0,))
 
-    def test_holder_catches_a_corrupted_extract(self, monkeypatch):
-        real = verify.extract
 
-        def extract(z, k):
-            out = real(z, k)
-            return _corrupt_first_digit(out) if z.digits == (0, 0, 0, 0) and k == 0 else out
+def _point(text):
+    coords = tuple(map(parse_padic, text.split(";")))
+    return PadicPoint(len(coords), coords)
 
-        monkeypatch.setattr(verify, "extract", extract)
-        report = run_verify(RunConfig(p=2, n=2, K=2, suite="holder"))
-        assert report.cases == 4**2 + 16**2
-        assert len(report.failures) == 14
-        assert report.failures[0] == {
-            "check": "extract_prefix",
-            "input": "3:4:0,0,0,0|3:4:0,0,0,2|k=0",
-            "lhs": "3:2:2,0",
-            "rhs": "3:2:0,0",
-        }
 
-    def test_holder_catches_a_corrupted_cantor_encode(self, monkeypatch):
-        real = verify.cantor_encode
+def _format_coords(coords):
+    return ";".join(map(format_padic, coords))
 
-        def cantor_encode(x, n):
-            out = real(x, n)
-            return _corrupt_first_digit(out) if x.digits == (0, 1) else out
 
-        monkeypatch.setattr(verify, "cantor_encode", cantor_encode)
-        report = run_verify(RunConfig(p=2, n=2, K=2, suite="holder"))
-        assert len(report.failures) == 2
-        assert report.failures[0] == {
+def _replay_cantor(cfg, text):
+    x = parse_padic(text)
+    return format_padic(verify.cantor_decode(verify.cantor_encode(x, cfg.n))), text
+
+
+def _replay_chain(cfg, text):
+    X = _point(text)
+    z = verify.combine([verify.cantor_encode(c, cfg.n) for c in X.coords])
+    back = [verify.cantor_decode(verify.extract(z, k)) for k in range(cfg.n)]
+    return _format_coords(back), text
+
+
+def _replay_interleave_forward(cfg, text):
+    return _format_coords(verify.deinterleave(verify.interleave(_point(text))).coords), text
+
+
+def _replay_interleave_backward(cfg, text):
+    z = make_interleaved(parse_padic(text), cfg.n)
+    return format_padic(verify.interleave(verify.deinterleave(z)).value), text
+
+
+def _replay_theorem1(cfg, text):
+    f = resolve_function(cfg.p, cfg.n, cfg.K, "real", cfg.function)
+    X = _point(text)
+    return repr(verify.superpose1(verify.build_g(f), X)), repr(f(X))
+
+
+def _replay_theorem2(cfg, text):
+    f = resolve_function(cfg.p, cfg.n, cfg.K, "padic", cfg.function)
+    X = _point(text)
+    got = verify.superpose2(verify.build_h(f, cfg.weights), X)
+    return format_padic(got.to_padic_int(cfg.K)), format_padic(f(X))
+
+
+def _replay_lemma2(cfg, text):
+    A, B = map(_point, text.split("|"))
+    image = padic_sub(verify.interleave(A).value, verify.interleave(B).value)
+    return str(padic_norm(image)), f"{point_distance(A, B)}**{cfg.n}"
+
+
+def _replay_encode_prefix(cfg, text):
+    x, y = map(parse_padic, text.split("|"))
+    return tuple(format_cantor(verify.cantor_encode(v, cfg.n)) for v in (x, y))
+
+
+def _replay_extract_prefix(cfg, text):
+    z, w, k = text.split("|")
+    k = int(k.removeprefix("k="))
+    return tuple(
+        format_cantor(verify.extract(parse_cantor(v, cfg.p, cfg.n), k)) for v in (z, w)
+    )
+
+
+def _replay_gap_endpoint(side):
+    """Replay a gap endpoint record: g at the gap's ``side`` end (0 left, 1 right)."""
+
+    def replay(cfg, text):
+        G = verify.build_g(resolve_function(cfg.p, cfg.n, cfg.K, "real", cfg.function))
+        den = G.q**G.L
+        gap = tuple(int(Fraction(end) * den) for end in text[len("gap (") : -1].split(", "))
+        i = gap_numerators(cfg.p, cfg.n, G.L).index(gap)
+        return repr(verify.eval_g_ratio(G, gap[side], den)), repr(G.values[i + side])
+
+    return replay
+
+
+# On an exhaustive space a deinterleave that fails the backward check also
+# fails the forward one: a left inverse on a finite set is a two-sided one.
+# Sampled runs draw the two checks' values independently, so the backward row
+# runs at (2, 2, 10), samples=1, seed=0 and corrupts its one draw.
+BACKWARD_DRAW = "2:20:0,0,0,1,0,0,1,1,0,1,1,0,1,0,1,1,0,1,1,0"
+
+# (config, name of the library call that verify makes, corruption of its
+# result given the call's arguments, failure count, first failure, replay).
+# Every check name but lemma1 (which fails on the paper's constant) and the
+# gap midpoint and linearity checks (which the blend breakage above fails)
+# has a row.
+CORRUPTIONS = [
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="roundtrip"),
+        "cantor_decode",
+        lambda out, c: _drop_top_digit(out),
+        14,
+        {"check": "cantor", "input": "2:2:0,1", "lhs": "2:2:0,0", "rhs": "2:2:0,1"},
+        _replay_cantor,
+        id="cantor",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="roundtrip"),
+        "combine",
+        lambda out, parts: out._replace(digits=(2, 0, 0, 0))
+        if out.digits == (0, 0, 0, 2)
+        else out,
+        1,
+        {
+            "check": "chain",
+            "input": "2:2:0,0;2:2:0,1",
+            "lhs": "2:2:1,0;2:2:0,0",
+            "rhs": "2:2:0,0;2:2:0,1",
+        },
+        _replay_chain,
+        id="chain",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="roundtrip"),
+        "interleave",
+        lambda out, X: out._replace(value=_drop_top_digit(out.value)),
+        16,
+        {
+            "check": "interleave_forward",
+            "input": "2:2:0,0;2:2:0,1",
+            "lhs": "2:2:0,0;2:2:0,0",
+            "rhs": "2:2:0,0;2:2:0,1",
+        },
+        _replay_interleave_forward,
+        id="interleave_forward",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=10, suite="roundtrip", samples=1, seed=0),
+        "deinterleave",
+        lambda out, z: out._replace(coords=out.coords[::-1])
+        if format_padic(z.value) == BACKWARD_DRAW
+        else out,
+        1,
+        {
+            "check": "interleave_backward",
+            "input": BACKWARD_DRAW,
+            "lhs": "2:20:0,0,1,0,0,0,1,1,1,0,0,1,0,1,1,1,1,0,0,1",
+            "rhs": BACKWARD_DRAW,
+        },
+        _replay_interleave_backward,
+        id="interleave_backward",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="theorem1"),
+        "superpose1",
+        lambda out, G, X: math.nextafter(out, math.inf),
+        16,
+        {"check": "theorem1", "input": "2:2:0,0;2:2:0,0", "lhs": "5e-324", "rhs": "0.0"},
+        _replay_theorem1,
+        id="theorem1.identity",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="theorem2", function="proj-1"),
+        "superpose2",
+        lambda out, H, X: superposition.superpose2(H, X._replace(coords=X.coords[::-1])),
+        12,
+        {"check": "theorem2", "input": "2:2:0,0;2:2:0,1", "lhs": "2:2:0,1", "rhs": "2:2:0,0"},
+        _replay_theorem2,
+        id="theorem2.identity",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="lemma2"),
+        "interleave",
+        lambda out, X: out._replace(value=out.value._replace(digits=out.value.digits[::-1])),
+        48,
+        {
+            "check": "lemma2",
+            "input": "2:2:0,0;2:2:0,0|2:2:0,0;2:2:0,1",
+            "lhs": "1",
+            "rhs": "1/2**2",
+        },
+        _replay_lemma2,
+        id="lemma2",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="holder"),
+        "cantor_encode",
+        lambda out, x, n: _corrupt_first_digit(out) if x.digits == (0, 1) else out,
+        2,
+        {
             "check": "encode_prefix",
             "input": "2:2:0,0|2:2:0,1",
             "lhs": "3:2:0,0",
             "rhs": "3:2:2,2",
-        }
+        },
+        _replay_encode_prefix,
+        id="encode_prefix",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="holder"),
+        "extract",
+        lambda out, z, k: _corrupt_first_digit(out)
+        if z.digits == (0, 0, 0, 0) and k == 0
+        else out,
+        14,
+        {
+            "check": "extract_prefix",
+            "input": "3:4:0,0,0,0|3:4:0,0,0,2|k=0",
+            "lhs": "3:2:2,0",
+            "rhs": "3:2:0,0",
+        },
+        _replay_extract_prefix,
+        id="extract_prefix",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="extension"),
+        "eval_g_ratio",
+        lambda out, G, num, den: superposition.eval_g_ratio(G, num + 1, den)
+        if den == G.q**G.L
+        else out,
+        8,
+        {"check": "gap_left_endpoint", "input": "gap (7/81, 8/81)", "lhs": "0.25", "rhs": "0.0"},
+        _replay_gap_endpoint(0),
+        id="gap_left_endpoint",
+    ),
+    pytest.param(
+        RunConfig(p=2, n=2, K=2, suite="extension"),
+        "eval_g_ratio",
+        lambda out, G, num, den: superposition.eval_g_ratio(G, num - 1, den)
+        if den == G.q**G.L
+        else out,
+        8,
+        {"check": "gap_right_endpoint", "input": "gap (7/81, 8/81)", "lhs": "0.0", "rhs": "0.25"},
+        _replay_gap_endpoint(1),
+        id="gap_right_endpoint",
+    ),
+]
 
-    def test_roundtrip_catches_a_corrupted_combine(self, monkeypatch):
-        real = verify.combine
 
-        def combine(parts):
-            out = real(parts)
-            return CantorValue(out.p, out.n, (2, 0, 0, 0)) if out.digits == (0, 0, 0, 2) else out
-
-        monkeypatch.setattr(verify, "combine", combine)
-        report = run_verify(RunConfig(p=2, n=2, K=2, suite="roundtrip"))
-        assert report.failures == [
-            {
-                "check": "chain",
-                "input": "2:2:0,0;2:2:0,1",
-                "lhs": "2:2:1,0;2:2:0,0",
-                "rhs": "2:2:0,0;2:2:0,1",
-            }
-        ]
+@pytest.mark.parametrize("cfg,name,corrupt,count,first,replay", CORRUPTIONS)
+def test_each_check_fails_on_a_corrupted_library_call(
+    monkeypatch, cfg, name, corrupt, count, first, replay
+):
+    # verify calls the library through its module globals; wrap the named one.
+    # The pair suites evaluate a value once and pair it with every other, so
+    # one corrupted result must still fail every pair it meets.
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: corrupt(real(*args), *args))
+    report = run_verify(cfg)
+    assert len(report.failures) == count
+    assert report.failures[0] == first
+    # The record replays through the corrupted call, and not through the real one.
+    assert replay(cfg, first["input"]) == (first["lhs"], first["rhs"])
+    monkeypatch.undo()
+    assert replay(cfg, first["input"]) != (first["lhs"], first["rhs"])
 
 
 class TestPointEnumeration:
