@@ -12,6 +12,8 @@ The package provides:
 * verification suites and a CLI (:mod:`.verify`, :mod:`.cli`).
 """
 
+from types import ModuleType as _ModuleType
+
 # The eager names are each module's __all__ (errors: every class it defines).
 from .cantor import *
 from .core import *
@@ -56,6 +58,15 @@ _LAZY.update(
         "run_verify",
     )
 )
+
+# A star import binds what the eager star imports bound, without the
+# submodules that the imports also bound, and loads every lazy name.
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]
+__all__.extend(_LAZY)
 
 
 def __getattr__(name):

@@ -1,9 +1,10 @@
 """Verification suites and data emission for the CLI.
 
 Each suite drives the library's own operations against independent digit-level
-oracles and collects counterexamples.  A suite is exhaustive whenever its case
-space fits under EXHAUSTIVE_LIMIT and falls back to seeded sampling otherwise,
-so a report is a pure function of its configuration.
+oracles and yields its checks; :func:`run_verify` names, counts and records
+them.  A suite is exhaustive whenever its case space fits under
+EXHAUSTIVE_LIMIT and falls back to seeded sampling otherwise, so a report is a
+pure function of its configuration.
 """
 
 from __future__ import annotations
@@ -131,15 +132,18 @@ class VerificationReport:
     identical configurations must serialize byte-identically.
     """
 
-    __slots__ = ("suite", "params", "cases", "breakdown", "failures", "wall_time")
+    __slots__ = ("suite", "params", "breakdown", "failures", "wall_time")
 
-    def __init__(self, suite, params, cases, breakdown=None, failures=None, wall_time=0.0):
+    def __init__(self, suite, params, breakdown, failures, wall_time):
         self.suite = suite
         self.params = params
-        self.cases = cases
-        self.breakdown = {} if breakdown is None else breakdown
-        self.failures = [] if failures is None else failures
+        self.breakdown = breakdown
+        self.failures = failures
         self.wall_time = wall_time
+
+    @property
+    def cases(self) -> int:
+        return sum(self.breakdown.values())
 
     @property
     def passed(self) -> bool:
@@ -158,19 +162,23 @@ class VerificationReport:
 
 
 def run_verify(config: RunConfig) -> VerificationReport:
-    """Execute the selected suites and assemble one report."""
+    """Execute the selected suites and assemble one report.
+
+    A suite yields ``(check, count, failures)`` per check, and ``failures``
+    lazily yields ``(check, input, lhs, rhs)`` per counterexample.  This is
+    the one place that names, counts and records checks.  It consumes each
+    check before the suite draws the next, so seeded draws keep their order.
+    """
     t0 = time.perf_counter()
-    cases = 0
     breakdown = {}
     failures = []
     for name in config.selected_suites():
         rng = random.Random(config.seed)
-        suite_cases, suite_breakdown, suite_failures = _SUITE_FNS[name](config, rng)
-        cases += suite_cases
-        for check, count in suite_breakdown.items():
+        for check, count, check_failures in _SUITE_FNS[name](config, rng):
             breakdown[f"{name}.{check}"] = count
-        failures.extend(suite_failures)
-    report = VerificationReport(
+            for failed_check, case, lhs, rhs in check_failures:
+                failures.append({"check": failed_check, "input": case, "lhs": lhs, "rhs": rhs})
+    return VerificationReport(
         suite=config.suite,
         params={
             "p": config.p,
@@ -181,12 +189,10 @@ def run_verify(config: RunConfig) -> VerificationReport:
             "seed": config.seed,
             "weights": config.weights,
         },
-        cases=cases,
         breakdown=breakdown,
         failures=failures,
         wall_time=time.perf_counter() - t0,
     )
-    return report
 
 
 def _digit_tuples(p, length, samples, rng):
@@ -234,93 +240,85 @@ def _format_coords(coords):
     return ";".join(map(format_padic, coords))
 
 
-def _fail(failures, check, case, lhs, rhs):
-    failures.append({"check": check, "input": case, "lhs": str(lhs), "rhs": str(rhs)})
-
-
 def _suite_roundtrip(cfg, rng):
     p, n, K = cfg.p, cfg.n, cfg.K
-    failures = []
-    breakdown = {}
+
+    def cantor(it):
+        for digs in it:
+            x = _new(TruncatedPadicInt, (p, K, digs))
+            back = cantor_decode(cantor_encode(x, n))
+            if back != x:
+                case = format_padic(x)
+                yield "cantor", case, format_padic(back), case
+
+    def chain(it):
+        for X in it:
+            coords = X.coords
+            z = combine([cantor_encode(c, n) for c in coords])
+            back = tuple([cantor_decode(extract(z, k)) for k in range(n)])
+            if back != coords:
+                case = _format_coords(coords)
+                yield "chain", case, _format_coords(back), case
+
+    def forward(it):
+        for X in it:
+            back = deinterleave(interleave(X))
+            if back != X:
+                case = _format_coords(X.coords)
+                yield "interleave_forward", case, _format_coords(back.coords), case
+
+    def backward(it):
+        for digs in it:
+            z = _new(InterleavedPadic, (_new(TruncatedPadicInt, (p, n * K, digs)), n))
+            back = interleave(deinterleave(z))
+            if back != z:
+                case = format_padic(z.value)
+                yield "interleave_backward", case, format_padic(back.value), case
 
     it, count = _digit_tuples(p, K, cfg.samples, rng)
-    breakdown["cantor"] = count
-    for digs in it:
-        x = _new(TruncatedPadicInt, (p, K, digs))
-        back = cantor_decode(cantor_encode(x, n))
-        if back != x:
-            _fail(failures, "cantor", format_padic(x), format_padic(back), format_padic(x))
-
+    yield "cantor", count, cantor(it)
     it, count = _points(p, n, K, cfg.samples, rng)
-    breakdown["chain"] = count
-    for X in it:
-        coords = X.coords
-        z = combine([cantor_encode(c, n) for c in coords])
-        back = tuple([cantor_decode(extract(z, k)) for k in range(n)])
-        if back != coords:
-            _fail(
-                failures, "chain", _format_coords(coords), _format_coords(back),
-                _format_coords(coords),
-            )
-
+    yield "chain", count, chain(it)
     it, count = _points(p, n, K, cfg.samples, rng)
-    breakdown["interleave_forward"] = count
-    for X in it:
-        back = deinterleave(interleave(X))
-        if back != X:
-            _fail(
-                failures, "interleave_forward", _format_coords(X.coords),
-                _format_coords(back.coords), _format_coords(X.coords),
-            )
-
+    yield "interleave_forward", count, forward(it)
     it, count = _digit_tuples(p, n * K, cfg.samples, rng)
-    breakdown["interleave_backward"] = count
-    for digs in it:
-        z = _new(InterleavedPadic, (_new(TruncatedPadicInt, (p, n * K, digs)), n))
-        back = interleave(deinterleave(z))
-        if back != z:
-            _fail(
-                failures,
-                "interleave_backward",
-                format_padic(z.value),
-                format_padic(back.value),
-                format_padic(z.value),
-            )
-
-    return sum(breakdown.values()), breakdown, failures
+    yield "interleave_backward", count, backward(it)
 
 
 def _suite_theorem1(cfg, rng):
     f = resolve_function(cfg.p, cfg.n, cfg.K, REAL, cfg.function, cfg.table)
     G = build_g(f)
-    failures = []
+
+    def identity(it):
+        for X in it:
+            expected = f(X)
+            got = superpose1(G, X)
+            if got != expected:
+                yield "theorem1", _format_coords(X.coords), repr(got), repr(expected)
+
     it, count = _points(cfg.p, cfg.n, cfg.K, cfg.samples, rng)
-    for X in it:
-        expected = f(X)
-        got = superpose1(G, X)
-        if got != expected:
-            _fail(failures, "theorem1", _format_coords(X.coords), repr(got), repr(expected))
-    return count, {"identity": count}, failures
+    yield "identity", count, identity(it)
 
 
 def _suite_theorem2(cfg, rng):
     f = resolve_function(cfg.p, cfg.n, cfg.K, PADIC, cfg.function, cfg.table)
     H = build_h(f, cfg.weights)
     K = cfg.K
-    failures = []
+
+    def identity(it):
+        for X in it:
+            expected = PadicScalar.from_padic_int(f(X))
+            got = superpose2(H, X)
+            if got != expected:
+                yield (
+                    "theorem2",
+                    _format_coords(X.coords),
+                    format_padic(got.to_padic_int(K)),
+                    format_padic(expected.to_padic_int(K)),
+                )
+
     it, count = _points(cfg.p, cfg.n, K, cfg.samples, rng)
-    for X in it:
-        expected = PadicScalar.from_padic_int(f(X))
-        got = superpose2(H, X)
-        if got != expected:
-            _fail(
-                failures,
-                "theorem2",
-                _format_coords(X.coords),
-                format_padic(got.to_padic_int(K)),
-                format_padic(expected.to_padic_int(K)),
-            )
-    return count, {"identity": count}, failures
+    yield "identity", count, identity(it)
 
 
 def _suite_lemma1(cfg, rng):
@@ -331,28 +329,24 @@ def _suite_lemma1(cfg, rng):
     L = LEMMA1_LEVEL
     bound = Fraction((2 * p - 1) ** 2 - 1, 2 * (p - 1) ** 2)
     _require_sample_size(cfg.samples, 4 * L)
-    failures = []
-    for _ in range(cfg.samples):
-        parts = []
-        for _ in range(4):
-            digs = tuple(n * rng.randrange(p) for _ in range(L))
-            parts.append(CantorValue(p, n, digs))
-        xa, ya, xb, yb = parts
-        d2 = (cantor_to_rational(xa) - cantor_to_rational(xb)) ** 2 + (
-            cantor_to_rational(ya) - cantor_to_rational(yb)
-        ) ** 2
-        lhs = abs(
-            cantor_to_rational(combine([xa, ya])) - cantor_to_rational(combine([xb, yb]))
-        )
-        if lhs > bound * d2:
-            _fail(
-                failures,
-                "lemma1",
-                ";".join(format_cantor(c) for c in (xa, ya, xb, yb)),
-                str(lhs),
-                str(bound * d2),
+
+    def pairs():
+        for _ in range(cfg.samples):
+            parts = [
+                CantorValue(p, n, tuple(n * d for d in _draw(rng, p, L))) for _ in range(4)
+            ]
+            xa, ya, xb, yb = parts
+            d2 = (cantor_to_rational(xa) - cantor_to_rational(xb)) ** 2 + (
+                cantor_to_rational(ya) - cantor_to_rational(yb)
+            ) ** 2
+            lhs = abs(
+                cantor_to_rational(combine([xa, ya])) - cantor_to_rational(combine([xb, yb]))
             )
-    return cfg.samples, {"pairs": cfg.samples}, failures
+            if lhs > bound * d2:
+                case = ";".join(map(format_cantor, parts))
+                yield "lemma1", case, str(lhs), str(bound * d2)
+
+    yield "pairs", cfg.samples, pairs()
 
 
 def _pairs(p, length, samples, rng, value=tuple):
@@ -372,20 +366,21 @@ def _pairs(p, length, samples, rng, value=tuple):
 
 def _suite_lemma2(cfg, rng):
     p, n, K = cfg.p, cfg.n, cfg.K
-    failures = []
 
     def value(digs):
         X = _block_point(p, n, K, digs)
         return X, interleave(X).value
 
+    def pairs(it):
+        for (A, za), (B, zb) in it:
+            dist = point_distance(A, B)
+            img = padic_norm(padic_sub(za, zb))
+            if img > dist**n:
+                case = f"{_format_coords(A.coords)}|{_format_coords(B.coords)}"
+                yield "lemma2", case, str(img), f"{dist}**{n}"
+
     it, count = _pairs(p, n * K, cfg.samples, rng, value)
-    for (A, za), (B, zb) in it:
-        dist = point_distance(A, B)
-        img = padic_norm(padic_sub(za, zb))
-        if img > dist**n:
-            case = f"{_format_coords(A.coords)}|{_format_coords(B.coords)}"
-            _fail(failures, "lemma2", case, str(img), f"{dist}**{n}")
-    return count, {"pairs": count}, failures
+    yield "pairs", count, pairs(it)
 
 
 def _shared_prefix(a, b):
@@ -397,39 +392,35 @@ def _shared_prefix(a, b):
 
 def _suite_holder(cfg, rng):
     p, n, K = cfg.p, cfg.n, cfg.K
-    failures = []
-    breakdown = {}
 
     def encoded(digs):
         x = _new(TruncatedPadicInt, (p, K, digs))
         return x, cantor_encode(x, n)
 
-    it, count = _pairs(p, K, cfg.samples, rng, encoded)
-    breakdown["encode_prefix"] = count
-    for (x, cx), (y, cy) in it:
-        N = _shared_prefix(x.digits, y.digits)
-        if cx.digits[:N] != cy.digits[:N]:
-            case = f"{format_padic(x)}|{format_padic(y)}"
-            _fail(failures, "encode_prefix", case, format_cantor(cx), format_cantor(cy))
+    def encode_prefix(it):
+        for (x, cx), (y, cy) in it:
+            N = _shared_prefix(x.digits, y.digits)
+            if cx.digits[:N] != cy.digits[:N]:
+                case = f"{format_padic(x)}|{format_padic(y)}"
+                yield "encode_prefix", case, format_cantor(cx), format_cantor(cy)
 
     def extracted(digs):
-        z = CantorValue(p, n, tuple(n * d for d in digs))
+        z = cantor_encode(_new(TruncatedPadicInt, (p, n * K, digs)), n)
         return z, [extract(z, k) for k in range(n)]
 
+    def extract_prefix(it):
+        for (z, ez), (w, ew) in it:
+            N = _shared_prefix(z.digits, w.digits)
+            for k in range(n):
+                keep = (N - k + n - 1) // n if N >= k else 0
+                if ez[k].digits[:keep] != ew[k].digits[:keep]:
+                    case = f"{format_cantor(z)}|{format_cantor(w)}|k={k}"
+                    yield "extract_prefix", case, format_cantor(ez[k]), format_cantor(ew[k])
+
+    it, count = _pairs(p, K, cfg.samples, rng, encoded)
+    yield "encode_prefix", count, encode_prefix(it)
     it, count = _pairs(p, n * K, cfg.samples, rng, extracted)
-    breakdown["extract_prefix"] = count
-    for (z, ez), (w, ew) in it:
-        N = _shared_prefix(z.digits, w.digits)
-        for k in range(n):
-            keep = (N - k + n - 1) // n if N >= k else 0
-            if ez[k].digits[:keep] != ew[k].digits[:keep]:
-                case = f"{format_cantor(z)}|{format_cantor(w)}|k={k}"
-                _fail(failures, "extract_prefix", case, format_cantor(ez[k]), format_cantor(ew[k]))
-    return sum(breakdown.values()), breakdown, failures
-
-
-def _gap_case(a, b, den):
-    return f"gap ({Fraction(a, den)}, {Fraction(b, den)})"
+    yield "extract_prefix", count, extract_prefix(it)
 
 
 def _quarter_point(va, vb):
@@ -442,29 +433,24 @@ def _suite_extension(cfg, rng):
     f = resolve_function(cfg.p, cfg.n, cfg.K, REAL, cfg.function, cfg.table)
     G = build_g(f)
     values = G.values
-    failures = []
     # A gap's midpoint and quarter point are exact over 4 * q**L.
     den = G.q**G.L
     gaps = gap_numerators(G.p, G.n, G.L)
-    for (a, b), va, vb in zip(gaps, values, values[1:]):
-        got = eval_g_ratio(G, a, den)
-        if got != va:
-            _fail(failures, "gap_left_endpoint", _gap_case(a, b, den), repr(got), repr(va))
-        got = eval_g_ratio(G, b, den)
-        if got != vb:
-            _fail(failures, "gap_right_endpoint", _gap_case(a, b, den), repr(got), repr(vb))
-        mid = eval_g_ratio(G, 2 * (a + b), 4 * den)
-        mean = (va + vb) / 2
-        if mid != mean:
-            _fail(failures, "gap_midpoint", _gap_case(a, b, den), repr(mid), repr(mean))
-        at_quarter = eval_g_ratio(G, 3 * a + b, 4 * den)
-        expected = _quarter_point(va, vb)
-        if at_quarter != expected:
-            _fail(
-                failures, "gap_linearity", _gap_case(a, b, den), repr(at_quarter), repr(expected)
+
+    def failures():
+        for (a, b), va, vb in zip(gaps, values, values[1:]):
+            checks = (
+                ("gap_left_endpoint", eval_g_ratio(G, a, den), va),
+                ("gap_right_endpoint", eval_g_ratio(G, b, den), vb),
+                ("gap_midpoint", eval_g_ratio(G, 2 * (a + b), 4 * den), (va + vb) / 2),
+                ("gap_linearity", eval_g_ratio(G, 3 * a + b, 4 * den), _quarter_point(va, vb)),
             )
-    count = len(gaps)
-    return count, {"gaps": count}, failures
+            for check, got, expected in checks:
+                if got != expected:
+                    case = f"gap ({Fraction(a, den)}, {Fraction(b, den)})"
+                    yield check, case, repr(got), repr(expected)
+
+    yield "gaps", len(gaps), failures()
 
 
 _SUITE_FNS = {

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -696,3 +697,30 @@ class TestStartup:
 
     def test_weights_flag_choices_match_the_library(self):
         assert WEIGHTS == (WEIGHTS_PROOF, WEIGHTS_PAPER)
+
+
+# Run in a fresh interpreter without site: which of the given names a star
+# import of the package leaves unbound.
+STAR_PROBE = """
+import json, sys
+from padic_kas import *
+print(json.dumps([name for name in sys.argv[1:] if name not in globals()]))
+"""
+
+
+def test_star_import_binds_every_name_but_the_modules():
+    import padic_kas
+
+    names = [
+        name
+        for name in PACKAGE_NAMES
+        if not name.startswith("_") and not isinstance(getattr(padic_kas, name), ModuleType)
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STAR_PROBE, *names],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert "RunConfig" in names and "build_g" in names
+    assert json.loads(proc.stdout) == []
