@@ -88,6 +88,17 @@ SAMPLED_REPORT_DIGESTS = {
     "lemma2": "8089d58beb5d74b80dc0d57a6d093ae19de31c7371e5341b2f385006e719145a",
     "holder": "7f726f42fb508feedbf0210a9ae6d4514f8650e5463d5277ed9c8838e5e3ca8a",
 }
+# Sampled runs at n = 3 and n = 1, samples=100, seed=7: values drawn one by
+# one at other arities.  holder at (3, 3, 5) mixes an exhaustive check
+# (encode_prefix over 3**10 pairs) with a sampled one (extract_prefix).
+SAMPLED_ARITY_DIGESTS = {
+    ("roundtrip", 3, 3, 5): "276796b8cdb5464251f5db9897f3c25ebb16b25bc6a17b70fd8b30ec754c60c8",
+    ("lemma2", 3, 3, 5): "cf04e2fd061353c56434126f9dde6303c9cf5d206c5c84d5149a1f4db7565735",
+    ("holder", 3, 3, 5): "d33fadbe53bc221a665243e0fe1ca5db219f1300c0d4f0dbfbecb609bdfc6a6b",
+    ("roundtrip", 2, 1, 25): "11aea0c34fbc802e3d2156701a091ccf176294e2d27f52add649bde82152228f",
+    ("lemma2", 2, 1, 25): "3cb3b69ba2f3180c14aa1d29311c5cfc70edb7d3f11f1d34f3206921ef2a4d11",
+    ("holder", 2, 1, 25): "2155dc321e5ccbb394691195370ab02db18385c59eb0281ddea69b8837a1a2fe",
+}
 
 
 class TestRunConfig:
@@ -352,6 +363,37 @@ class TestReportsAreUnchanged:
         report = run_verify(RunConfig(p=2, n=2, K=10, suite=suite, samples=200, seed=3))
         assert report.breakdown and report.cases >= 200
         assert _digest(report) == SAMPLED_REPORT_DIGESTS[suite]
+
+    @pytest.mark.parametrize("suite,p,n,K", sorted(SAMPLED_ARITY_DIGESTS))
+    def test_sampled_reports_at_other_arities(self, suite, p, n, K):
+        report = run_verify(RunConfig(p=p, n=n, K=K, suite=suite, samples=100, seed=7))
+        assert _digest(report) == SAMPLED_ARITY_DIGESTS[suite, p, n, K]
+
+
+# (config, library call, calls): each value a pair suite reads is built once,
+# however many pairs it meets; a sampled pair builds each member once.
+VALUE_CALLS = [
+    (RunConfig(p=2, n=2, K=2, suite="lemma2"), "interleave", 16),
+    (RunConfig(p=3, n=2, K=2, suite="holder"), "cantor_encode", 90),
+    (RunConfig(p=3, n=2, K=2, suite="holder"), "extract", 162),
+    (RunConfig(p=2, n=2, K=10, suite="lemma2", samples=50), "interleave", 100),
+    (RunConfig(p=2, n=2, K=10, suite="holder", samples=50), "cantor_encode", 200),
+]
+
+
+@pytest.mark.parametrize("cfg,name,calls", VALUE_CALLS)
+def test_pair_suites_build_each_value_once(monkeypatch, cfg, name, calls):
+    # verify calls the library through its module globals; count the named one.
+    real = getattr(verify, name)
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, name, counted)
+    assert run_verify(cfg).passed
+    assert len(seen) == calls
 
 
 def _digest(report):
