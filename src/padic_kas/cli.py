@@ -258,7 +258,11 @@ def _cmd_verify(args):
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
     config = RunConfig(
         p=args.p,
         n=args.n,

@@ -195,26 +195,31 @@ def run_verify(config: RunConfig) -> VerificationReport:
     )
 
 
-def _digit_tuples(p, length, samples, rng):
-    """(iterator, count): all digit tuples if affordable, else a seeded sample."""
-    if table_fits(p, length):
-        return product(range(p), repeat=length), p**length
-    _require_sample_size(samples, length)
-    return (_draw(rng, p, length) for _ in range(samples)), samples
+def _cases(p, length, samples, rng, value=tuple, repeat=1):
+    """(iterator, count) of ``repeat``-tuples of ``value(digit tuple)``.
 
-
-def _draw(rng, p, length):
-    """One seeded digit tuple: ``length`` calls of ``rng.randrange(p)``, in order."""
-    return tuple(map(rng.randrange, repeat(p, length)))
-
-
-def _require_sample_size(samples, digits):
-    """Raise unless ``samples`` draws of ``digits`` digits stay within SAMPLE_DIGIT_LIMIT."""
+    All p**(repeat*length) cases if they fit under EXHAUSTIVE_LIMIT, each value
+    built once (and streamed at ``repeat == 1``); else ``samples`` seeded
+    cases, drawn value by value.
+    """
+    digits = repeat * length
+    if table_fits(p, digits):
+        space = map(value, product(range(p), repeat=length))
+        if repeat == 1:
+            return zip(space), p**length
+        return product(space, repeat=repeat), p**digits
     if samples * digits > SAMPLE_DIGIT_LIMIT:
         raise SizeLimitExceeded(
             f"{samples} samples of {digits} digits exceed the sampling limit "
             f"of {SAMPLE_DIGIT_LIMIT} digits"
         )
+    draws = (tuple(value(_draw(rng, p, length)) for _ in range(repeat)) for _ in range(samples))
+    return draws, samples
+
+
+def _draw(rng, p, length):
+    """One seeded digit tuple: ``length`` calls of ``rng.randrange(p)``, in order."""
+    return tuple(map(rng.randrange, repeat(p, length)))
 
 
 def _block_point(p, n, K, digs):
@@ -224,16 +229,13 @@ def _block_point(p, n, K, digs):
 
 
 def _points(p, n, K, samples, rng):
-    """(iterator of points, count) in the order of :func:`_digit_tuples` over n*K digits.
+    """(iterator of points, count): :func:`_cases` of n coordinates of K digits each."""
 
-    An exhaustive run at n >= 2 builds each of the p**K (at most 1,000)
-    coordinate values once; otherwise the points stream from digit tuples.
-    """
-    if n > 1 and table_fits(p, n * K):
-        space = [_new(TruncatedPadicInt, (p, K, d)) for d in product(range(p), repeat=K)]
-        return (_new(PadicPoint, (n, c)) for c in product(space, repeat=n)), p ** (n * K)
-    it, count = _digit_tuples(p, n * K, samples, rng)
-    return (_block_point(p, n, K, digs) for digs in it), count
+    def coordinate(digs):
+        return _new(TruncatedPadicInt, (p, K, digs))
+
+    it, count = _cases(p, K, samples, rng, coordinate, n)
+    return (_new(PadicPoint, (n, coords)) for coords in it), count
 
 
 def _format_coords(coords):
@@ -244,7 +246,7 @@ def _suite_roundtrip(cfg, rng):
     p, n, K = cfg.p, cfg.n, cfg.K
 
     def cantor(it):
-        for digs in it:
+        for (digs,) in it:
             x = _new(TruncatedPadicInt, (p, K, digs))
             back = cantor_decode(cantor_encode(x, n))
             if back != x:
@@ -268,20 +270,20 @@ def _suite_roundtrip(cfg, rng):
                 yield "interleave_forward", case, _format_coords(back.coords), case
 
     def backward(it):
-        for digs in it:
+        for (digs,) in it:
             z = _new(InterleavedPadic, (_new(TruncatedPadicInt, (p, n * K, digs)), n))
             back = interleave(deinterleave(z))
             if back != z:
                 case = format_padic(z.value)
                 yield "interleave_backward", case, format_padic(back.value), case
 
-    it, count = _digit_tuples(p, K, cfg.samples, rng)
+    it, count = _cases(p, K, cfg.samples, rng)
     yield "cantor", count, cantor(it)
     it, count = _points(p, n, K, cfg.samples, rng)
     yield "chain", count, chain(it)
     it, count = _points(p, n, K, cfg.samples, rng)
     yield "interleave_forward", count, forward(it)
-    it, count = _digit_tuples(p, n * K, cfg.samples, rng)
+    it, count = _cases(p, n * K, cfg.samples, rng)
     yield "interleave_backward", count, backward(it)
 
 
@@ -328,13 +330,12 @@ def _suite_lemma1(cfg, rng):
     n = 2
     L = LEMMA1_LEVEL
     bound = Fraction((2 * p - 1) ** 2 - 1, 2 * (p - 1) ** 2)
-    _require_sample_size(cfg.samples, 4 * L)
 
-    def pairs():
-        for _ in range(cfg.samples):
-            parts = [
-                CantorValue(p, n, tuple(n * d for d in _draw(rng, p, L))) for _ in range(4)
-            ]
+    def part(digs):
+        return CantorValue(p, n, tuple(n * d for d in digs))
+
+    def pairs(it):
+        for parts in it:
             xa, ya, xb, yb = parts
             d2 = (cantor_to_rational(xa) - cantor_to_rational(xb)) ** 2 + (
                 cantor_to_rational(ya) - cantor_to_rational(yb)
@@ -346,22 +347,9 @@ def _suite_lemma1(cfg, rng):
                 case = ";".join(map(format_cantor, parts))
                 yield "lemma1", case, str(lhs), str(bound * d2)
 
-    yield "pairs", cfg.samples, pairs()
-
-
-def _pairs(p, length, samples, rng, value=tuple):
-    """(iterator of pairs of ``value(digit tuple)``, count), exhaustive under the limit.
-
-    Exhaustive runs call ``value`` once per tuple; sampled ones once per draw.
-    """
-    if table_fits(p, 2 * length):
-        space = list(map(value, product(range(p), repeat=length)))
-        return product(space, space), len(space) ** 2
-    _require_sample_size(samples, 2 * length)
-    it = (
-        (value(_draw(rng, p, length)), value(_draw(rng, p, length))) for _ in range(samples)
-    )
-    return it, samples
+    # 4 * L digits never fit under the limit: the parts are always sampled.
+    it, count = _cases(p, L, cfg.samples, rng, part, 4)
+    yield "pairs", count, pairs(it)
 
 
 def _suite_lemma2(cfg, rng):
@@ -379,7 +367,7 @@ def _suite_lemma2(cfg, rng):
                 case = f"{_format_coords(A.coords)}|{_format_coords(B.coords)}"
                 yield "lemma2", case, str(img), f"{dist}**{n}"
 
-    it, count = _pairs(p, n * K, cfg.samples, rng, value)
+    it, count = _cases(p, n * K, cfg.samples, rng, value, 2)
     yield "pairs", count, pairs(it)
 
 
@@ -417,9 +405,9 @@ def _suite_holder(cfg, rng):
                     case = f"{format_cantor(z)}|{format_cantor(w)}|k={k}"
                     yield "extract_prefix", case, format_cantor(ez[k]), format_cantor(ew[k])
 
-    it, count = _pairs(p, K, cfg.samples, rng, encoded)
+    it, count = _cases(p, K, cfg.samples, rng, encoded, 2)
     yield "encode_prefix", count, encode_prefix(it)
-    it, count = _pairs(p, n * K, cfg.samples, rng, extracted)
+    it, count = _cases(p, n * K, cfg.samples, rng, extracted, 2)
     yield "extract_prefix", count, extract_prefix(it)
 
 

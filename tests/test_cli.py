@@ -284,6 +284,15 @@ class TestVerifyCommand:
         )
         assert json.loads(out_path.read_text())["params"]["seed"] == 5
 
+    def test_bad_seed_variable_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADIC_KAS_SEED", "abc")
+        code, out, err = run(
+            capsys, "verify", "--p", "2", "--n", "1", "--K", "1", "--suite", "roundtrip"
+        )
+        assert code == 2
+        assert out == []
+        assert err == "error: PADIC_KAS_SEED must be an integer, got 'abc'\n"
+
     def test_lemma1_reports_failures_with_exit_one(self, capsys):
         # the stated pair-distance constant is violated by real counterexamples
         code, out, _ = run(

@@ -326,29 +326,29 @@ class TestBoundSuites:
 class TestSampledWorkIsBounded:
     def test_exhaustive_up_to_the_table_limit(self):
         rng = random.Random(0)
-        assert verify._digit_tuples(2, 19, 10, rng)[1] == 2**19
-        assert verify._digit_tuples(2, 20, 10, rng)[1] == 10
-        assert verify._pairs(2, 9, 10, rng)[1] == 2**18
-        assert verify._pairs(2, 10, 10, rng)[1] == 10
+        assert verify._cases(2, 19, 10, rng)[1] == 2**19
+        assert verify._cases(2, 20, 10, rng)[1] == 10
+        assert verify._cases(2, 9, 10, rng, repeat=2)[1] == 2**18
+        assert verify._cases(2, 10, 10, rng, repeat=2)[1] == 10
 
     def test_sampled_digits_are_bounded(self):
         rng = random.Random(0)
         limit = verify.SAMPLE_DIGIT_LIMIT
-        assert verify._digit_tuples(2, 1000, limit // 1000, rng)[1] == limit // 1000
+        assert verify._cases(2, 1000, limit // 1000, rng)[1] == limit // 1000
         with pytest.raises(SizeLimitExceeded):
-            verify._digit_tuples(2, 1000, limit // 1000 + 1, rng)
-        assert verify._pairs(2, 1000, limit // 2000, rng)[1] == limit // 2000
+            verify._cases(2, 1000, limit // 1000 + 1, rng)
+        assert verify._cases(2, 1000, limit // 2000, rng, repeat=2)[1] == limit // 2000
         with pytest.raises(SizeLimitExceeded):
-            verify._pairs(2, 1000, limit // 2000 + 1, rng)
+            verify._cases(2, 1000, limit // 2000 + 1, rng, repeat=2)
 
     def test_huge_length_never_computes_the_power(self):
         # 3**(10**8) has about 48 million decimal digits.
         rng = random.Random(0)
         start = time.perf_counter()
-        assert verify._digit_tuples(3, 10**8, 0, rng)[1] == 0
-        assert verify._pairs(3, 10**8, 0, rng)[1] == 0
+        assert verify._cases(3, 10**8, 0, rng)[1] == 0
+        assert verify._cases(3, 10**8, 0, rng, repeat=2)[1] == 0
         with pytest.raises(SizeLimitExceeded):
-            verify._digit_tuples(3, 10**8, 1, rng)
+            verify._cases(3, 10**8, 1, rng)
         assert time.perf_counter() - start < 1.0
 
 
@@ -684,9 +684,9 @@ class TestPointEnumeration:
 
     def test_sampled_points_draw_as_digit_tuples_do(self):
         it, count = verify._points(2, 2, 10, 5, random.Random(4))
-        digits, _ = verify._digit_tuples(2, 20, 5, random.Random(4))
+        digits, _ = verify._cases(2, 20, 5, random.Random(4))
         assert count == 5
-        assert [sum((c.digits for c in X.coords), ()) for X in it] == list(digits)
+        assert [sum((c.digits for c in X.coords), ()) for X in it] == [d for (d,) in digits]
 
 
 class TestQuarterPointOracle:
