@@ -17,13 +17,12 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mod, mul
 
-from .core import TruncatedPadicInt, _new, is_prime, named_tuple
+from .core import TruncatedPadicInt, _check_params, _new, named_tuple
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
     IndexOutOfRange,
     InvalidCantorDigit,
-    NonPrimeModulus,
     PrecisionMismatch,
 )
 from .interleave import merge_order
@@ -66,18 +65,21 @@ class CantorValue:
 
 
 def make_cantor(digits, p: int, n: int) -> CantorValue:
-    """Build a validated base-q digit vector.
+    """Build a validated base-q digit vector of at least one digit.
 
-    Digits must lie in [0, n*(p-1)].  Membership in the Cantor-like set
-    additionally requires every digit to be a multiple of n; that stronger
-    condition is enforced where it matters (:func:`cantor_decode`), so that
-    off-set inputs can be represented and rejected with a precise error.
+    Membership in the Cantor-like set also requires every digit to be a
+    multiple of n; that stronger condition is enforced where it matters
+    (:func:`cantor_decode`), so that off-set inputs can be represented and
+    rejected with a precise error.
+
+    Raises:
+        NonPrimeModulus: p is not prime.
+        ArityMismatch: n < 1.
+        ValueError: no digits are supplied.
+        InvalidCantorDigit: a digit is outside [0, n*(p-1)].
     """
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
-    if n < 1:
-        raise ArityMismatch(f"arity must be >= 1, got {n}")
     digs = tuple(int(d) for d in digits)
+    _check_params(p, n, len(digs))
     top = n * (p - 1)
     for i, d in enumerate(digs):
         if d < 0 or d > top:
@@ -172,15 +174,6 @@ def cantor_to_rational(c: CantorValue) -> Fraction:
     return Fraction(acc, q ** len(digits))
 
 
-def _check_level(p: int, n: int, L: int) -> None:
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
-    if n < 1:
-        raise ArityMismatch(f"arity must be >= 1, got {n}")
-    if L < 1:
-        raise ValueError(f"level must be >= 1, got {L}")
-
-
 def interval_numerators(p: int, n: int, L: int) -> list:
     """Numerators over q**L of the level-L interval left endpoints, increasing.
 
@@ -188,7 +181,7 @@ def interval_numerators(p: int, n: int, L: int) -> list:
     base-q numerals of L digits that are all multiples of n, and their
     lexicographic order is their numeric order.
     """
-    _check_level(p, n, L)
+    _check_params(p, n, L)
     q = n * (p - 1) + 1
     nums = [0]
     for _ in range(L):
@@ -212,7 +205,7 @@ def gap_numerators(p: int, n: int, L: int) -> list:
     tile [0,1], so there are no gaps.
     """
     if n == 1:
-        _check_level(p, n, L)
+        _check_params(p, n, L)
         return []
     nums = interval_numerators(p, n, L)
     return [(a + 1, b) for a, b in zip(nums, nums[1:])]

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
+    ArityMismatch,
     DigitOutOfRange,
     DimensionMismatch,
     NonPrimeModulus,
@@ -40,6 +41,16 @@ __all__ = [
 # digit maps and tabulations call it directly, which saves one interpreter
 # frame per value built; exhaustive verification builds millions of them.
 _new = tuple.__new__
+
+
+def _check_params(p, n, K):
+    """Raise unless p is prime and the arity n and the level K are >= 1."""
+    if not is_prime(p):
+        raise NonPrimeModulus(f"modulus {p} is not prime")
+    if n < 1:
+        raise ArityMismatch(f"arity must be >= 1, got {n}")
+    if K < 1:
+        raise ValueError(f"level must be >= 1, got {K}")
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
@@ -167,13 +178,11 @@ def make_padic(digits, p: int, K: int) -> TruncatedPadicInt:
 
     Raises:
         NonPrimeModulus: p is not prime.
+        ValueError: K < 1.
         DigitOutOfRange: a digit is outside [0, p-1].
         PrecisionMismatch: more than K digits supplied.
     """
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
-    if K < 1:
-        raise ValueError(f"precision K must be >= 1, got {K}")
+    _check_params(p, 1, K)
     digs = tuple(int(d) for d in digits)
     if len(digs) > K:
         raise PrecisionMismatch(f"{len(digs)} digits exceed precision K={K}")
@@ -185,10 +194,7 @@ def make_padic(digits, p: int, K: int) -> TruncatedPadicInt:
 
 def padic_from_int(value: int, p: int, K: int) -> TruncatedPadicInt:
     """The residue of an integer mod p**K as a digit vector."""
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
-    if K < 1:
-        raise ValueError(f"precision K must be >= 1, got {K}")
+    _check_params(p, 1, K)
     value %= p**K
     digs = []
     for _ in range(K):

@@ -24,13 +24,12 @@ from itertools import product
 from operator import attrgetter, getitem
 
 from .cantor import gap_intervals, interval_numerators
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, _new, is_prime, padic_add
+from .core import PadicPoint, PadicScalar, TruncatedPadicInt, _check_params, _new, padic_add
 from .errors import (
     CodomainMismatch,
     ConfigError,
     DimensionMismatch,
     DomainViolation,
-    NonPrimeModulus,
     PrecisionMismatch,
     SizeLimitExceeded,
     TableFormatError,
@@ -85,7 +84,7 @@ class CylinderFunction:
     __slots__ = ("p", "n", "K", "codomain", "name", "values", "_fn")
 
     def __init__(self, p, n, K, codomain, fn, name, values=None):
-        _check_header(p, n, K)
+        _check_params(p, n, K)
         if codomain not in (REAL, PADIC):
             raise CodomainMismatch(f"unknown codomain {codomain!r}")
         self.p = p
@@ -136,7 +135,7 @@ class CylinderFunction:
         must share p and K.  A table over more than EXHAUSTIVE_LIMIT inputs
         is refused before any key is read.
         """
-        _check_header(p, n, K)
+        _check_params(p, n, K)
         _require_table_size(p, n * K)
         dil = _dilations(p, n, K)
         size = p ** (n * K)
@@ -180,16 +179,6 @@ class CylinderFunction:
             return fn(PadicPoint(X.n, coords))
 
         return CylinderFunction(self.p, self.n, K_new, self.codomain, cut, f"{self.name}@K{K_new}")
-
-
-def _check_header(p, n, K):
-    """Raise unless p is prime and n, K >= 1: the check every constructor runs first."""
-    if not is_prime(p):
-        raise NonPrimeModulus(f"modulus {p} is not prime")
-    if n < 1:
-        raise DimensionMismatch(f"arity must be >= 1, got {n}")
-    if K < 1:
-        raise ValueError(f"level K must be >= 1, got {K}")
 
 
 def _check_point(X, F):

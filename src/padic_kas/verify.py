@@ -30,9 +30,9 @@ from .core import (
     PadicPoint,
     PadicScalar,
     TruncatedPadicInt,
+    _check_params,
     _new,
     format_padic,
-    is_prime,
     padic_norm,
     padic_sub,
     point_distance,
@@ -95,12 +95,10 @@ class RunConfig:
         weights: str = WEIGHTS_PROOF,
         table: str | None = None,
     ):
-        if not is_prime(p):
-            raise ConfigError(f"p must be prime, got {p}")
-        if n < 1:
-            raise ConfigError(f"n must be >= 1, got {n}")
-        if K < 1:
-            raise ConfigError(f"K must be >= 1, got {K}")
+        try:
+            _check_params(p, n, K)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if samples < 0:
             raise ConfigError(f"sample count must be >= 0, got {samples}")
         if suite != "all" and suite not in SUITES:

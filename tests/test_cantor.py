@@ -360,6 +360,20 @@ class TestTextFormat:
         with pytest.raises(InvalidCantorDigit):
             make_cantor([-1], 2, 2)
 
+    @pytest.mark.parametrize(
+        "digits,p,n,error,message",
+        [
+            ([0], 4, 2, NonPrimeModulus, "modulus 4 is not prime"),
+            ([0], 2, 0, ArityMismatch, "arity must be >= 1, got 0"),
+            ([], 2, 2, ValueError, "level must be >= 1, got 0"),
+        ],
+    )
+    def test_make_cantor_rejects_bad_header(self, digits, p, n, error, message):
+        with pytest.raises(error) as exc:
+            make_cantor(digits, p, n)
+        assert exc.type is error
+        assert str(exc.value) == message
+
 
 # ------------------------------------------------ the chain against references
 #

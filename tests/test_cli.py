@@ -69,6 +69,13 @@ class TestCodecCommands:
         assert code == 2
         assert "spread" in err
 
+    @pytest.mark.parametrize("command", ["decode", "psi"])
+    def test_cantor_literal_without_digits_is_refused(self, capsys, command):
+        code, out, err = run(capsys, command, "--p", "2", "--n", "2", "--cantor", "3:0:")
+        assert code == 2
+        assert out == []
+        assert err == "error: level must be >= 1, got 0\n"
+
 
 class TestInterleaveCommands:
     def test_interleave(self, capsys):
@@ -495,7 +502,7 @@ class TestMalformedTableFiles:
             ),
             (
                 json.dumps({"p": 2, "n": 1, "K": -1, "codomain": "real", "entries": ENTRIES}),
-                "level K must be >= 1, got -1",
+                "level must be >= 1, got -1",
             ),
             (
                 json.dumps({"p": 4, "n": 1, "K": 1, "codomain": "real", "entries": []}),

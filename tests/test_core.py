@@ -108,9 +108,9 @@ class TestMakePadic:
     @pytest.mark.parametrize(
         "build,args,error,message",
         [
-            (make_padic, ([], 2, 0), ValueError, "precision K must be >= 1, got 0"),
+            (make_padic, ([], 2, 0), ValueError, "level must be >= 1, got 0"),
             (padic_from_int, (5, 4, 2), NonPrimeModulus, "modulus 4 is not prime"),
-            (padic_from_int, (5, 2, 0), ValueError, "precision K must be >= 1, got 0"),
+            (padic_from_int, (5, 2, 0), ValueError, "level must be >= 1, got 0"),
         ],
     )
     def test_rejects_bad_modulus_or_precision(self, build, args, error, message):

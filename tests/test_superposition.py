@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from padic_kas import (
+    ArityMismatch,
     CantorValue,
     CodomainMismatch,
     ConfigError,
@@ -18,6 +19,7 @@ from padic_kas import (
     EXHAUSTIVE_LIMIT,
     GFunction,
     InterleavedPadic,
+    NonPrimeModulus,
     PadicPoint,
     PadicScalar,
     PrecisionMismatch,
@@ -153,6 +155,23 @@ class TestBuiltins:
     def test_codomain_conflict(self):
         with pytest.raises(CodomainMismatch):
             CylinderFunction.from_builtin("padic-sum", 2, 2, 1, codomain="real")
+
+    @pytest.mark.parametrize(
+        "build,args,error,message",
+        [
+            (CylinderFunction.from_builtin, ("zero", 2, 0, 1), ArityMismatch,
+             "arity must be >= 1, got 0"),
+            (CylinderFunction.from_builtin, ("zero", 2, 1, 0), ValueError,
+             "level must be >= 1, got 0"),
+            (CylinderFunction.from_table, (4, 1, 1, "real", {}), NonPrimeModulus,
+             "modulus 4 is not prime"),
+        ],
+    )
+    def test_bad_header_is_named(self, build, args, error, message):
+        with pytest.raises(error) as exc:
+            build(*args)
+        assert exc.type is error
+        assert str(exc.value) == message
 
     def test_argument_shape_checks(self):
         f = CylinderFunction.from_builtin("zero", 2, 2, 1)

@@ -119,7 +119,8 @@ class TestRunConfig:
             RunConfig(p=2, n=2, K=2, weights="midway")
 
     @pytest.mark.parametrize(
-        "n,K,message", [(0, 2, "n must be >= 1, got 0"), (2, 0, "K must be >= 1, got 0")]
+        "n,K,message",
+        [(0, 2, "arity must be >= 1, got 0"), (2, 0, "level must be >= 1, got 0")],
     )
     def test_rejects_nonpositive_arity_and_level(self, n, K, message):
         with pytest.raises(ConfigError) as exc:
