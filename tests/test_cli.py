@@ -16,6 +16,13 @@ from padic_kas.superposition import WEIGHTS_PAPER, WEIGHTS_PROOF
 
 from helpers import table_keys
 
+# stdout, stderr and exit code of --help and two usage errors at three
+# terminal widths, recorded byte for byte before the parser was built at a
+# fixed help width: how the parser is built must never show in what it prints.
+HELP_PINS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "help.json").read_text(encoding="utf-8")
+)
+
 
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
@@ -606,6 +613,17 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
+
+    @pytest.mark.parametrize(
+        "record", HELP_PINS, ids=[f"{' '.join(r['argv'])}@{r['columns']}" for r in HELP_PINS]
+    )
+    def test_help_and_usage_errors_match_their_pins(self, capsys, monkeypatch, record):
+        monkeypatch.setenv("COLUMNS", str(record["columns"]))
+        code = cli_dispatch(record["argv"])
+        captured = capsys.readouterr()
+        assert code == record["exit"]
+        assert captured.out == record["stdout"]
+        assert captured.err == record["stderr"]
 
     @pytest.mark.parametrize(
         "argv",
