@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
+from functools import partial
 
 from .cantor import (
     cantor_decode,
@@ -35,7 +35,7 @@ SEED_ENV_VAR = "PADIC_KAS_SEED"
 WEIGHTS = ("proof", "paper")
 
 
-def _rational(fr: Fraction) -> str:
+def _rational(fr) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
 
@@ -61,14 +61,24 @@ def _add_function(sub, required=False):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Each add_argument builds a help formatter to check the argument, and the
+    # default formatter measures the terminal, which imports shutil.  Build at
+    # a fixed width, then hand back the default, so that only help and usage
+    # errors measure the terminal.
+    fixed = partial(argparse.HelpFormatter, width=80)
     parser = argparse.ArgumentParser(
         prog="padic-kas",
         description=(
             "Digit codecs between Z_p^n, a Cantor-like subset of [0,1], and Z_p, "
             "and single-variable representatives of multivariate cylinder functions."
         ),
+        formatter_class=fixed,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=partial(argparse.ArgumentParser, formatter_class=fixed),
+    )
 
     s = sub.add_parser("encode", help="base-q encode of a p-adic integer (stride-1 digits)")
     _add_pn(s)
@@ -130,6 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--L", type=int, required=True, help="level (digit count)")
     s.add_argument("--out", required=True, help="output CSV path")
 
+    for built in (parser, *sub.choices.values()):
+        built.formatter_class = argparse.HelpFormatter
     return parser
 
 

@@ -10,9 +10,9 @@ pure function of its configuration.
 from __future__ import annotations
 
 import json
-import random
 import time
 from fractions import Fraction
+from functools import cached_property
 from itertools import product, repeat
 
 from .cantor import (
@@ -171,8 +171,7 @@ def run_verify(config: RunConfig) -> VerificationReport:
     breakdown = {}
     failures = []
     for name in config.selected_suites():
-        rng = random.Random(config.seed)
-        for check, count, check_failures in _SUITE_FNS[name](config, rng):
+        for check, count, check_failures in _SUITE_FNS[name](config, _Draws(config.seed)):
             breakdown[f"{name}.{check}"] = count
             for failed_check, case, lhs, rhs in check_failures:
                 failures.append({"check": failed_check, "input": case, "lhs": lhs, "rhs": rhs})
@@ -191,6 +190,22 @@ def run_verify(config: RunConfig) -> VerificationReport:
         failures=failures,
         wall_time=time.perf_counter() - t0,
     )
+
+
+class _Draws:
+    """A seeded ``randrange`` that imports :mod:`random` on the first draw.
+
+    Exhaustive runs draw nothing, so they never load it.
+    """
+
+    def __init__(self, seed):
+        self.seed = seed
+
+    @cached_property
+    def randrange(self):
+        import random
+
+        return random.Random(self.seed).randrange
 
 
 def _cases(p, length, samples, rng, value=tuple, repeat=1):
