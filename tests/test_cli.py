@@ -76,6 +76,12 @@ class TestCodecCommands:
         assert code == 2
         assert "spread" in err
 
+    def test_malformed_cantor_literal_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "decode", "--p", "3", "--n", "2", "--cantor", "5:5")
+        assert code == 2
+        assert out == []
+        assert err == "error: malformed Cantor literal '5:5'; expected q:L:d0,d1,...\n"
+
     @pytest.mark.parametrize("command", ["decode", "psi"])
     def test_cantor_literal_without_digits_is_refused(self, capsys, command):
         code, out, err = run(capsys, command, "--p", "2", "--n", "2", "--cantor", "3:0:")
@@ -685,13 +691,28 @@ print(json.dumps({
 
 
 # Run one command in a fresh interpreter without site, then report whether
-# it loaded the verification suites.
+# it loaded the verification suites, and which of the modules that only help
+# output (shutil, and through it bz2 and lzma) or seeded draws (random) need.
 COMMAND_PROBE = """
 import json, sys
 import padic_kas.cli
 code = padic_kas.cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "verify": "padic_kas.verify" in sys.modules}))
+print(json.dumps({
+    "code": code,
+    "verify": "padic_kas.verify" in sys.modules,
+    "loaded": [m for m in ("bz2", "lzma", "random", "shutil") if m in sys.modules],
+}))
 """
+
+
+def run_command_probe(argv, cwd):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", COMMAND_PROBE, *argv],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestStartup:
@@ -719,15 +740,32 @@ class TestStartup:
     )
     def test_table_commands_do_not_load_verify(self, tmp_path, argv, codomain):
         table = write_table(tmp_path / "f.json", 3, 2, 1, codomain)
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", COMMAND_PROBE, *argv,
-             "--p", "3", "--n", "2", "--K", "1", "--table", table],
-            env=env, cwd=tmp_path, capture_output=True, text=True, check=True, timeout=60,
+        result = run_command_probe(
+            [*argv, "--p", "3", "--n", "2", "--K", "1", "--table", table], tmp_path
         )
-        result = json.loads(proc.stdout.splitlines()[-1])
-        assert result == {"code": 0, "verify": False}
+        assert result == {"code": 0, "verify": False, "loaded": []}
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["encode", "--p", "2", "--n", "2", "--x", "2:3:1,0,0"], set()),
+            (["superpose", "--p", "2", "--n", "2", "--K", "2", "--function", "padic-sum",
+              "--coord", "2:2:1,0", "--coord", "2:2:1,0"], set()),
+            (["verify", "--p", "2", "--n", "2", "--K", "2", "--suite", "roundtrip"], set()),
+            (["--help"], {"shutil"}),
+            (["verify", "--p", "2", "--n", "2", "--K", "2", "--suite", "lemma1",
+              "--samples", "10"], {"random"}),
+        ],
+        ids=["encode", "superpose", "verify-exhaustive", "help", "verify-sampled"],
+    )
+    def test_only_help_measures_the_terminal_and_only_draws_load_random(
+        self, tmp_path, argv, expected
+    ):
+        result = run_command_probe(argv, tmp_path)
+        assert result["code"] == 0
+        # shutil imports bz2 and lzma where the interpreter has them.
+        archivers = {"bz2", "lzma"} if "shutil" in expected else set()
+        assert expected <= set(result["loaded"]) <= expected | archivers
 
     def test_weights_flag_choices_match_the_library(self):
         assert WEIGHTS == (WEIGHTS_PROOF, WEIGHTS_PAPER)
@@ -758,3 +796,12 @@ def test_star_import_binds_every_name_but_the_modules():
     )
     assert "RunConfig" in names and "build_g" in names
     assert json.loads(proc.stdout) == []
+
+
+def test_unknown_package_name_raises_attribute_error():
+    import padic_kas
+
+    with pytest.raises(AttributeError) as exc:
+        padic_kas.nope
+    assert exc.type is AttributeError
+    assert str(exc.value) == "module 'padic_kas' has no attribute 'nope'"
