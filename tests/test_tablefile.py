@@ -1,11 +1,12 @@
 """Table files: every row fault is named with the index of the first row that has one."""
 
+import gc
 import json
 import random
 
 import pytest
 
-from padic_kas import TableFormatError, load_table_json, parse_padic
+from padic_kas import TableFormatError, load_table_json, parse_padic, tablefile
 
 from helpers import table_keys
 
@@ -167,3 +168,35 @@ class TestRowFaults:
         for key in f.table:
             assert {type(d) for coord in key for d in coord} == {int}
         assert f.values == [parse_padic("3:1:1")] * 9
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("good", [True, False], ids=["good-file", "bad-file"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["from-enabled", "from-disabled"])
+    def test_the_callers_collector_state_is_restored(self, tmp_path, monkeypatch, good, enabled):
+        rows = rows_of(2, 2, 2, "real")
+        if not good:
+            rows[-1] = {**rows[-1], "value": None}
+        path = write(tmp_path, rows, "real")
+        during = []
+        add_rows = tablefile._add_rows
+
+        def spy(*args):
+            during.append(gc.isenabled())
+            return add_rows(*args)
+
+        monkeypatch.setattr(tablefile, "_add_rows", spy)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if good:
+                assert sorted(load_table_json(str(path)).values) == list(map(float, range(16)))
+            else:
+                with pytest.raises(TableFormatError) as err:
+                    load_table_json(str(path))
+                assert str(err.value) == f"{path}: entry 15 field 'value' must be a number"
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert during and not any(during)
+        assert after == enabled
