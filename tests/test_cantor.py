@@ -354,6 +354,20 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             parse_cantor("3:2:2", 2, 2)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5:5", "malformed Cantor literal '5:5'; expected q:L:d0,d1,..."),
+            ("5:x:0",
+             "malformed Cantor literal '5:x:0': invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_malformed_literal_is_named(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_cantor(text, 3, 2)
+        assert exc.type is ValueError
+        assert str(exc.value) == message
+
     def test_make_cantor_validates_range(self):
         with pytest.raises(InvalidCantorDigit):
             make_cantor([3], 2, 2)

@@ -190,6 +190,12 @@ class TestDigitArithmetic:
         expected = (x.to_int() * x.p**k) % x.p**x.K
         assert padic_shift(x, k).to_int() == expected
 
+    def test_negative_shift_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            padic_shift(make_padic([1], 2, 2), -1)
+        assert exc.type is ValueError
+        assert str(exc.value) == "shift must be nonnegative"
+
 
 class TestUltrametric:
     def test_strong_triangle_exhaustive(self):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from padic_kas import (
     ArityMismatch,
+    DimensionMismatch,
     IndexOutOfRange,
     InterleavedPadic,
     PadicPoint,
@@ -84,6 +85,22 @@ class TestInterleave:
         X = PadicPoint(2, (make_padic([1], 2, 1), make_padic([1], 2, 2)))
         with pytest.raises(PrecisionMismatch):
             interleave(X)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: make_interleaved(make_padic([1], 2, 2), 0), ArityMismatch,
+             "arity must be >= 1, got 0"),
+            (lambda: interleave(PadicPoint(2, (make_padic([1], 2, 1),))), DimensionMismatch,
+             "point declares n=2 but has 1 coords"),
+        ],
+        ids=["make-interleaved-arity-0", "point-short-of-its-arity"],
+    )
+    def test_malformed_input_is_named(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert exc.type is error
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_zero_digit_coordinates(self, n):

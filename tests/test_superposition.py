@@ -165,6 +165,8 @@ class TestBuiltins:
              "level must be >= 1, got 0"),
             (CylinderFunction.from_table, (4, 1, 1, "real", {}), NonPrimeModulus,
              "modulus 4 is not prime"),
+            (CylinderFunction, (2, 1, 1, "complex", lambda X: 0, "c"), CodomainMismatch,
+             "unknown codomain 'complex'"),
         ],
     )
     def test_bad_header_is_named(self, build, args, error, message):
@@ -207,6 +209,14 @@ class TestTables:
         with pytest.raises(TableFormatError):
             CylinderFunction.from_table(2, 1, 1, "padic", entries)
 
+    def test_padic_value_must_be_a_truncated_padic_int(self):
+        # Equal to TruncatedPadicInt(2, 1, (0,)) as a tuple, but not one.
+        entries = {k: (2, 1, (0,)) for k in table_keys(2, 1, 1)}
+        with pytest.raises(TableFormatError) as exc:
+            CylinderFunction.from_table(2, 1, 1, "padic", entries)
+        assert exc.type is TableFormatError
+        assert str(exc.value) == "p-adic table value (2, 1, (0,)) is not a TruncatedPadicInt"
+
     def test_key_shape_validation(self):
         entries = {((0, 0),): 0.0}
         with pytest.raises(TableFormatError):
@@ -227,6 +237,17 @@ class TestTables:
         f = CylinderFunction.from_builtin("zero", 2, 2, 2)
         with pytest.raises(ValueError):
             f.lift(1)
+
+    def test_lift_to_the_same_level_is_the_function_itself(self):
+        f = CylinderFunction.from_builtin("zero", 2, 2, 2)
+        assert f.lift(f.K) is f
+
+    def test_reprs(self):
+        f = CylinderFunction.from_builtin("norm-product", 2, 2, 3)
+        h = CylinderFunction.from_builtin("padic-sum", 3, 2, 2)
+        assert repr(f) == "CylinderFunction('norm-product', p=2, n=2, K=3, codomain='real')"
+        assert repr(build_g(f)) == "GFunction(p=2, n=2, K=3, intervals=64)"
+        assert repr(build_h(h)) == "HFunction(p=3, n=2, K=2, weights='proof', entries=81)"
 
 
 class TestBuildG:
