@@ -346,13 +346,25 @@ class TestTextFormat:
     def test_parse(self):
         assert parse_cantor("3:3:2,0,0", 2, 2) == make_cantor([2, 0, 0], 2, 2)
 
-    def test_parse_checks_base(self):
-        with pytest.raises(ValueError):
-            parse_cantor("4:1:0", 2, 2)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4:1:0", "Cantor literal base 4 does not match q=3 for p=2, n=2"),
+            # A wrong base and a wrong digit count: the base is named.
+            ("4:2:0", "Cantor literal base 4 does not match q=3 for p=2, n=2"),
+        ],
+    )
+    def test_parse_checks_base(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_cantor(text, 2, 2)
+        assert exc.type is ValueError
+        assert str(exc.value) == message
 
     def test_parse_checks_digit_count(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             parse_cantor("3:2:2", 2, 2)
+        assert exc.type is ValueError
+        assert str(exc.value) == "Cantor literal '3:2:2' carries 1 digits, expected L=2"
 
     @pytest.mark.parametrize(
         "text, message",

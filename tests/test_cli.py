@@ -76,6 +76,20 @@ class TestCodecCommands:
         assert code == 2
         assert "spread" in err
 
+    @pytest.mark.parametrize(
+        "command, literal, message",
+        [
+            ("psi", "3:3:0,1,2",
+             "digits at positions n*i+1 are nonzero; not a spread-encoded value"),
+            ("decode", "3:2:0,1", "digit 1 at index 1 is not a multiple of 2"),
+        ],
+    )
+    def test_off_set_digit_is_named(self, capsys, command, literal, message):
+        code, out, err = run(capsys, command, "--p", "2", "--n", "2", "--cantor", literal)
+        assert code == 2
+        assert out == []
+        assert err == f"error: {message}\n"
+
     def test_malformed_cantor_literal_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "decode", "--p", "3", "--n", "2", "--cantor", "5:5")
         assert code == 2

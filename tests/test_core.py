@@ -306,11 +306,23 @@ class TestTextFormat:
         assert parse_padic(format_padic(x)) == x
 
     @pytest.mark.parametrize(
-        "text", ["", "2:3", "2:3:1,1", "2:3:1,1,0,0", "a:3:1,1,0", "2:3:x,y,z"]
+        "text, message",
+        [
+            ("", "malformed p-adic literal ''; expected p:K:d0,d1,..."),
+            ("2:3", "malformed p-adic literal '2:3'; expected p:K:d0,d1,..."),
+            ("2:3:1,1", "p-adic literal '2:3:1,1' carries 2 digits, expected K=3"),
+            ("2:3:1,1,0,0", "p-adic literal '2:3:1,1,0,0' carries 4 digits, expected K=3"),
+            ("a:3:1,1,0",
+             "malformed p-adic literal 'a:3:1,1,0': invalid literal for int() with base 10: 'a'"),
+            ("2:3:x,y,z",
+             "malformed p-adic literal '2:3:x,y,z': invalid literal for int() with base 10: 'x'"),
+        ],
     )
-    def test_malformed_literals(self, text):
-        with pytest.raises(ValueError):
+    def test_malformed_literals(self, text, message):
+        with pytest.raises(ValueError) as exc:
             parse_padic(text)
+        assert exc.type is ValueError
+        assert str(exc.value) == message
 
     def test_parse_validates_digits(self):
         with pytest.raises(DigitOutOfRange):
