@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mod, mul
 
-from .core import TruncatedPadicInt, _check_params, _new, named_tuple
+from .core import TruncatedPadicInt, _check_params, _new, _split_literal, named_tuple
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -231,15 +231,7 @@ def parse_cantor(text: str, p: int, n: int) -> CantorValue:
     p and n supply the context the base-q form cannot carry on its own; the
     literal's base must equal n*(p-1)+1.
     """
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"malformed Cantor literal {text!r}; expected q:L:d0,d1,...")
-    try:
-        q = int(parts[0])
-        L = int(parts[1])
-        digits = [int(d) for d in parts[2].split(",")] if parts[2] else []
-    except ValueError as exc:
-        raise ValueError(f"malformed Cantor literal {text!r}: {exc}") from None
+    q, L, digits = _split_literal(text, "Cantor", "q:L")
     expected_q = n * (p - 1) + 1
     if q != expected_q:
         raise ValueError(

@@ -155,21 +155,16 @@ def _cmd_encode(args):
 
 
 def _cmd_decode(args):
+    """decode and psi: invert the stride-1 or the spread base-q encode."""
     c = parse_cantor(args.cantor, args.p, args.n)
+    if args.command == "psi":
+        for k in range(1, args.n):
+            if any(extract(c, k).digits):
+                raise InvalidCantorDigit(
+                    f"digits at positions n*i+{k} are nonzero; not a spread-encoded value"
+                )
+        c = extract(c, 0)
     print(format_padic(cantor_decode(c)))
-    return 0
-
-
-def _cmd_psi(args):
-    c = parse_cantor(args.cantor, args.p, args.n)
-    n = args.n
-    for k in range(1, n):
-        stray = extract(c, k)
-        if any(stray.digits):
-            raise InvalidCantorDigit(
-                f"digits at positions n*i+{k} are nonzero; not a spread-encoded value"
-            )
-    print(format_padic(cantor_decode(extract(c, 0))))
     return 0
 
 
@@ -320,7 +315,7 @@ _COMMANDS = {
     "encode": _cmd_encode,
     "decode": _cmd_decode,
     "phi": _cmd_encode,
-    "psi": _cmd_psi,
+    "psi": _cmd_decode,
     "interleave": _cmd_interleave,
     "deinterleave": _cmd_deinterleave,
     "build-g": _cmd_build_g,

@@ -296,17 +296,21 @@ def format_padic(x: TruncatedPadicInt) -> str:
     return f"{x.p}:{x.K}:" + ",".join(map(str, x.digits))
 
 
-def parse_padic(text: str) -> TruncatedPadicInt:
-    """Parse the textual form produced by :func:`format_padic`."""
+def _split_literal(text, kind, head):
+    """Split ``a:b:d0,d1,...`` into int(a), int(b) and the int digits; kind and head name it."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"malformed p-adic literal {text!r}; expected p:K:d0,d1,...")
+        raise ValueError(f"malformed {kind} literal {text!r}; expected {head}:d0,d1,...")
+    a, b, digits = parts
     try:
-        p = int(parts[0])
-        K = int(parts[1])
-        digits = [int(d) for d in parts[2].split(",")] if parts[2] else []
+        return int(a), int(b), [int(d) for d in digits.split(",")] if digits else []
     except ValueError as exc:
-        raise ValueError(f"malformed p-adic literal {text!r}: {exc}") from None
+        raise ValueError(f"malformed {kind} literal {text!r}: {exc}") from None
+
+
+def parse_padic(text: str) -> TruncatedPadicInt:
+    """Parse the textual form produced by :func:`format_padic`."""
+    p, K, digits = _split_literal(text, "p-adic", "p:K")
     if len(digits) != K:
         raise ValueError(
             f"p-adic literal {text!r} carries {len(digits)} digits, expected K={K}"

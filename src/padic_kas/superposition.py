@@ -23,7 +23,7 @@ from functools import lru_cache, partial, reduce
 from itertools import product
 from operator import attrgetter, getitem
 
-from .cantor import gap_intervals, interval_numerators
+from .cantor import interval_numerators
 from .core import PadicPoint, PadicScalar, TruncatedPadicInt, _check_params, _new, padic_add
 from .errors import (
     CodomainMismatch,
@@ -105,13 +105,6 @@ class CylinderFunction:
         _check_point(X, self)
         return self._fn(X)
 
-    @property
-    def table(self):
-        """The table keyed by n-tuples of K-digit tuples, in index order, or None."""
-        if self.values is not None:
-            points = _points_in_order(self.p, self.n, self.K)
-            return {tuple(map(_digits, X.coords)): v for (_, X), v in zip(points, self.values)}
-
     @classmethod
     def from_builtin(cls, name, p, n, K, codomain=None):
         """Resolve a builtin by name.
@@ -133,7 +126,8 @@ class CylinderFunction:
         Keys are n-tuples of little-endian K-digit tuples.  The mapping must
         cover all p**(n*K) inputs; real values must be finite, p-adic values
         must share p and K.  A table over more than EXHAUSTIVE_LIMIT inputs
-        is refused before any key is read.
+        is refused before any key is read.  A TableFormatError raised at an
+        entry carries that entry's position in ``entries`` as ``.entry``.
         """
         _check_params(p, n, K)
         _require_table_size(p, n * K)
@@ -141,17 +135,21 @@ class CylinderFunction:
         size = p ** (n * K)
         values = [None] * size
         check = _real_value if codomain == REAL else partial(_padic_value, p, K)
-        for key, value in entries.items():
-            value = check(value)
-            # A key of n valid digit tuples is looked up as given; any other
-            # has its digits read through int(), or its fault named, by _check_key.
-            try:
-                if len(key) == n:
-                    values[sum(map(getitem, dil, key))] = value
-                    continue
-            except (KeyError, TypeError):
-                pass
-            values[_check_key(key, p, n, K, dil)] = value
+        try:
+            for key, value in entries.items():
+                value = check(value)
+                # A key of n valid digit tuples is looked up as given; any other
+                # has its digits read through int(), or its fault named, by _check_key.
+                try:
+                    if len(key) == n:
+                        values[sum(map(getitem, dil, key))] = value
+                        continue
+                except (KeyError, TypeError):
+                    pass
+                values[_check_key(key, p, n, K, dil)] = value
+        except TableFormatError as exc:
+            exc.entry = list(entries).index(key)
+            raise
         missing = values.count(None)
         if missing:
             raise TableFormatError(f"table has {size - missing} entries, expected {size}")
@@ -340,19 +338,9 @@ class GFunction:
         return self.n * self.K
 
     @property
-    def width(self) -> Fraction:
-        return Fraction(1, self.q**self.L)
-
-    @property
     def table(self) -> dict:
-        """Interval values keyed by the interval's base-q digits, in increasing order."""
+        """Interval values keyed by their base-q digits, in index order; built on each access."""
         return dict(zip(product(range(0, self.q, self.n), repeat=self.L), self.values))
-
-    def gaps(self):
-        """List of (a, b, value_at_a, value_at_b) for every complementary gap."""
-        v = self.values
-        gaps = gap_intervals(self.p, self.n, self.L)
-        return [(a, b, va, vb) for (a, b), va, vb in zip(gaps, v, v[1:])]
 
 
 def table_fits(p, L):

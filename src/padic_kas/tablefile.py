@@ -29,8 +29,8 @@ def read_table(path: str) -> CylinderFunction:
     the textual form ``p:K:d0,...``.  The table must be total over all
     p**(n*K) keys.  Its keys reach :meth:`CylinderFunction.from_table` as
     exact digit tuples and its real values as read, so the checks there are
-    the ones that apply.  Every fault is a TableFormatError that names the
-    path and, in a row, the row's index.
+    the ones that apply.  A fault in a row is a TableFormatError naming the
+    path and the row's index; header faults and missing entries name no row.
 
     The cyclic garbage collector is paused, for the whole process, while the
     file is read: reading makes no reference cycles, and on a large table
@@ -86,7 +86,8 @@ def _read(path):
             p, n, K, codomain, entries, name=os.path.basename(path)
         )
     except TableFormatError as exc:
-        raise TableFormatError(f"{path}: {exc}") from None
+        row = f"entry {exc.entry} " if hasattr(exc, "entry") else ""  # entries are in row order
+        raise TableFormatError(f"{path}: {row}{exc}") from None
 
 
 def _add_rows(entries, rows, n, codomain):

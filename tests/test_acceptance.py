@@ -29,6 +29,7 @@ from padic_kas import (
     combine,
     deinterleave,
     eval_g,
+    gap_intervals,
     interleave,
     padic_norm,
     padic_sub,
@@ -327,7 +328,7 @@ def test_criterion_7_extension_continuity():
     for K in (1, 2, 3):
         for f in _extension_functions(p, n, K):
             G = build_g(f)
-            for a, b, va, vb in G.gaps():
+            for (a, b), va, vb in zip(gap_intervals(p, n, G.L), G.values, G.values[1:]):
                 gaps_checked += 1
                 # interval side vs the interpolation rule at both endpoints,
                 # compared in exact rational arithmetic

@@ -512,7 +512,7 @@ class TestMalformedTableFiles:
                 json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real",
                             "entries": [{"x": [[0]], "value": 0.5},
                                         {"x": [[1]], "value": 10**400}]}),
-                "{path}: real table value is too large for a float",
+                "{path}: entry 1 real table value is too large for a float",
             ),
             (
                 json.dumps({"p": 2, "n": 1, "K": 1, "codomain": "real", "entries": ENTRIES})

@@ -186,10 +186,11 @@ class TestBuiltins:
 class TestTables:
     def test_table_function_evaluates(self):
         rng = random.Random(5)
-        f = random_real_table(2, 2, 1, rng)
-        for key in table_keys(2, 2, 1):
+        entries = {key: rng.random() for key in table_keys(2, 2, 1)}
+        f = CylinderFunction.from_table(2, 2, 1, "real", entries)
+        for key, value in entries.items():
             X = make_point([TruncatedPadicInt(2, 1, c) for c in key])
-            assert f(X) == f.table[key]
+            assert f(X) == value
 
     def test_table_must_be_total(self):
         keys = table_keys(2, 2, 1)
@@ -297,7 +298,7 @@ class TestEvalG:
         rng = random.Random(8)
         f = random_real_table(2, 2, 1, rng)
         G = build_g(f)
-        for a, b, va, vb in G.gaps():
+        for (a, b), va, vb in zip(gap_intervals(2, 2, G.L), G.values, G.values[1:]):
             assert eval_g(G, (a + b) / 2) == (va + vb) / 2
 
     def test_gap_is_monotone_linear(self):
@@ -431,7 +432,7 @@ class TestEvalGIndexing:
         G = build_g(random_real_table(3, 1, 2, random.Random(2)))
         lefts = interval_left_endpoints(3, 1, 2)
         for i in range(len(lefts) - 1):
-            assert lefts[i] + G.width == lefts[i + 1]
+            assert lefts[i] + Fraction(1, G.q**G.L) == lefts[i + 1]
             assert eval_g(G, lefts[i + 1]) == G.values[i + 1]
             assert eval_g(G, lefts[i + 1]) != G.values[i]
 
@@ -448,15 +449,6 @@ class TestEvalGIndexing:
         G = build_g(random_real_table(2, 2, 2, random.Random(4)))
         with pytest.raises(DomainViolation):
             eval_g(G, t)
-
-    def test_gaps_pair_neighbouring_intervals(self):
-        G = build_g(random_real_table(3, 2, 2, random.Random(5)))
-        gaps = G.gaps()
-        assert [(a, b) for a, b, _, _ in gaps] == gap_intervals(3, 2, 4)
-        assert [(va, vb) for _, _, va, vb in gaps] == list(zip(G.values, G.values[1:]))
-
-    def test_arity_one_has_no_gaps(self):
-        assert build_g(random_real_table(5, 1, 2, random.Random(6))).gaps() == []
 
 
 def _digit_walk_eval_g(G, t):
@@ -936,13 +928,15 @@ class TestIndexOrderedTables:
             points = [X for _, X in reference_points(p, n, K)]
             assert f.values == [entries[key_of(X)] for X in points]
             assert f.values == [f(X) for X in points]
-            assert f.table == entries
-            assert list(f.table) == [key_of(X) for X in points]
+            # The library's own point order is the reference order too.
+            ordered = [key_of(X) for _, X in superposition._points_in_order(p, n, K)]
+            assert ordered == [key_of(X) for X in points]
+            assert dict(zip(ordered, f.values)) == entries
 
     def test_functions_without_a_table_have_none(self):
         f = CylinderFunction.from_builtin("norm-product", 2, 2, 2)
-        assert f.values is None and f.table is None
-        assert random_real_table(2, 2, 2, random.Random(1)).lift(3).table is None
+        assert f.values is None
+        assert random_real_table(2, 2, 2, random.Random(1)).lift(3).values is None
 
     def test_build_g_copies_the_values(self):
         f = random_real_table(3, 2, 2, random.Random(2))
@@ -995,6 +989,14 @@ class TestIndexOrderedTables:
         entries[((3,), (0,))] = 1.0
         with pytest.raises(TableFormatError, match="digit 3 not in"):
             CylinderFunction.from_table(3, 2, 1, "real", entries)
+
+    def test_an_entry_fault_keeps_its_message_and_carries_its_position(self):
+        entries = {k: 0.0 for k in table_keys(3, 2, 1)}
+        entries[((3,), (0,))] = 1.0
+        with pytest.raises(TableFormatError) as exc:
+            CylinderFunction.from_table(3, 2, 1, "real", entries)
+        assert str(exc.value) == "key ((3,), (0,)) digit 3 not in [0, 2]"
+        assert exc.value.entry == 9
 
     def test_keys_that_collapse_leave_a_gap(self):
         # ("0",) and (0.0,) are the key (0,) once the digits go through int().

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from padic_kas import TableFormatError, load_table_json, parse_padic, tablefile
+from padic_kas import CylinderFunction, TableFormatError, load_table_json, parse_padic, tablefile
 
 from helpers import table_keys
 
@@ -161,11 +161,47 @@ class TestRowFaults:
             load_table_json(str(path))
         assert str(err.value) == f"{path}: entry 0 field 'value' must be a number"
 
-    def test_keys_reach_the_table_as_exact_int_tuples(self, tmp_path):
+    @pytest.mark.parametrize(
+        "K, codomain, idx, change, fault",
+        [
+            (1, "real", 2, {"x": [[1], [5]]}, "key ((1,), (5,)) digit 5 not in [0, 1]"),
+            (2, "real", 0, {"x": [[0, 0], [0]]},
+             "key ((0, 0), (0,)) has a 1-digit coordinate, expected 2"),
+            (1, "padic", 0, {"value": "3:1:0"},
+             "p-adic table value has (p=3, K=1), expected (p=2, K=1)"),
+            (1, "real", 1, {"value": 10**400}, "real table value is too large for a float"),
+        ],
+        ids=["digit-out-of-range", "short-coordinate", "padic-value-elsewhere", "huge-real"],
+    )
+    def test_a_fault_the_table_finds_names_its_row(self, tmp_path, K, codomain, idx, change, fault):
+        # These rows pass the reader's own checks; from_table finds the fault.
+        rows = rows_of(2, 2, K, codomain)
+        rows[idx] = {**rows[idx], **change}
+        path = write(tmp_path, rows, codomain, K=K)
+        with pytest.raises(TableFormatError) as err:
+            load_table_json(str(path))
+        assert str(err.value) == f"{path}: entry {idx} {fault}"
+
+    def test_missing_entries_name_no_row(self, tmp_path):
+        path = write(tmp_path, rows_of(2, 2, 2, "real")[1:], "real")
+        with pytest.raises(TableFormatError) as err:
+            load_table_json(str(path))
+        assert str(err.value) == f"{path}: table has 15 entries, expected 16"
+
+    def test_keys_reach_the_table_as_exact_int_tuples(self, tmp_path, monkeypatch):
         rows = rows_of(3, 2, 1, "padic")
+        received = []
+        from_table = CylinderFunction.from_table
+
+        def spy(p, n, K, codomain, entries, **kwargs):
+            received.append(entries)
+            return from_table(p, n, K, codomain, entries, **kwargs)
+
+        monkeypatch.setattr(CylinderFunction, "from_table", spy)
         f = load_table_json(str(write(tmp_path, rows, "padic", p=3, n=2, K=1)))
-        assert list(f.table) == table_keys(3, 2, 1)
-        for key in f.table:
+        [entries] = received
+        assert list(entries) == table_keys(3, 2, 1)
+        for key in entries:
             assert {type(d) for coord in key for d in coord} == {int}
         assert f.values == [parse_padic("3:1:1")] * 9
 

@@ -750,7 +750,7 @@ class TestTableLoading:
         )
         f = load_table_json(path)
         assert f.codomain == "padic"
-        assert len(f.table) == 4
+        assert len(f.values) == 4
 
     def test_invalid_json(self, tmp_path):
         path = self._write(tmp_path, "{nope")
