@@ -54,7 +54,6 @@ _LAZY.update(
         "SUITES",
         "RunConfig",
         "VerificationReport",
-        "emit_cantor_csv",
         "run_verify",
     )
 )

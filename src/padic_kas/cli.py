@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure (or superposition mismatch),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from functools import partial
@@ -17,11 +18,12 @@ from .cantor import (
     cantor_to_rational,
     extract,
     format_cantor,
+    interval_left_endpoints,
     parse_cantor,
-    phi_full,
+    spread,
 )
 from .core import format_padic, make_point, parse_padic
-from .errors import ConfigError, InvalidCantorDigit, PadicKasError
+from .errors import ConfigError, InvalidCantorDigit, PadicKasError, SizeLimitExceeded
 from .interleave import deinterleave, interleave, make_interleaved
 
 # Each command runs in a fresh process and imports what it needs itself, so
@@ -148,7 +150,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_encode(args):
     """encode and phi: the stride-1 or the spread base-q encode."""
     x = _parse_padic_at(args.x, args.p)
-    c = (cantor_encode if args.command == "encode" else phi_full)(x, args.n)
+    c = cantor_encode(x, args.n)
+    L = c.L if args.command == "encode" else args.n * (c.L - 1) + 1
+    # The rational's denominator before reduction, q**L, has floor(L*log10(q)) + 1
+    # digits; Python prints no int longer than its limit.  No limit (0) is read as
+    # 4300, so that no literal makes the command spread or print without end.
+    limit = sys.get_int_max_str_digits() or 4300
+    if L * math.log10(c.q) >= limit:
+        raise SizeLimitExceeded(
+            f"{args.command} of {args.x!r} has {L} base-{c.q} digits; its rational "
+            f"would exceed the limit of {limit} digits on a printed integer"
+        )
+    if args.command == "phi":
+        c = spread(c)
     print(format_cantor(c))
     print(_rational(cantor_to_rational(c)))
     return 0
@@ -158,11 +172,12 @@ def _cmd_decode(args):
     """decode and psi: invert the stride-1 or the spread base-q encode."""
     c = parse_cantor(args.cantor, args.p, args.n)
     if args.command == "psi":
-        for k in range(1, args.n):
-            if any(extract(c, k).digits):
-                raise InvalidCantorDigit(
-                    f"digits at positions n*i+{k} are nonzero; not a spread-encoded value"
-                )
+        n = args.n
+        k = min((i % n for i, d in enumerate(c.digits) if d and i % n), default=0)
+        if k:
+            raise InvalidCantorDigit(
+                f"digits at positions n*i+{k} are nonzero; not a spread-encoded value"
+            )
         c = extract(c, 0)
     print(format_padic(cantor_decode(c)))
     return 0
@@ -304,10 +319,18 @@ def _cmd_verify(args):
 
 
 def _cmd_emit_cantor(args):
-    from .verify import emit_cantor_csv
+    import csv
 
-    rows = emit_cantor_csv(args.p, args.n, args.L, args.out)
-    print(f"wrote {rows} rows to {args.out}")
+    from .superposition import _require_table_size
+
+    _require_table_size(args.p, args.L, "L")
+    lefts = interval_left_endpoints(args.p, args.n, args.L)
+    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "rational", "decimal"])
+        for i, left in enumerate(lefts):
+            writer.writerow([i, _rational(left), repr(float(left))])
+    print(f"wrote {len(lefts)} rows to {args.out}")
     return 0
 
 

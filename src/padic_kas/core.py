@@ -90,16 +90,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def named_tuple(fields, defaults=()):
+def named_tuple(fields):
     """Class decorator: a ``collections.namedtuple`` with the class's docstring and methods.
 
     This builds what ``typing.NamedTuple`` builds, without importing
-    ``typing``.  ``fields`` is a space-separated string; ``defaults`` apply
-    to the last fields.
+    ``typing``.  ``fields`` is a space-separated string.
     """
 
     def build(body):
-        cls = namedtuple(body.__name__, fields, defaults=defaults, module=body.__module__)
+        cls = namedtuple(body.__name__, fields, module=body.__module__)
         for attr, value in vars(body).items():
             if attr not in ("__dict__", "__weakref__", "__module__"):
                 setattr(cls, attr, value)
@@ -130,7 +129,7 @@ class PadicPoint:
     """An n-tuple of truncated p-adic integers sharing p and K."""
 
 
-@named_tuple("p valuation unit", defaults=(None,))
+@named_tuple("p valuation unit")
 class PadicScalar:
     """An element of Q_p split as p**valuation times a unit.
 

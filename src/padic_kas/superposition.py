@@ -83,7 +83,7 @@ class CylinderFunction:
 
     __slots__ = ("p", "n", "K", "codomain", "name", "values", "_fn")
 
-    def __init__(self, p, n, K, codomain, fn, name, values=None):
+    def __init__(self, p, n, K, codomain, fn, name):
         _check_params(p, n, K)
         if codomain not in (REAL, PADIC):
             raise CodomainMismatch(f"unknown codomain {codomain!r}")
@@ -92,7 +92,7 @@ class CylinderFunction:
         self.K = K
         self.codomain = codomain
         self.name = name
-        self.values = values
+        self.values = None
         self._fn = fn
 
     def __repr__(self):
@@ -129,7 +129,7 @@ class CylinderFunction:
         is refused before any key is read.  A TableFormatError raised at an
         entry carries that entry's position in ``entries`` as ``.entry``.
         """
-        _check_params(p, n, K)
+        f = cls(p, n, K, codomain, None, name)
         _require_table_size(p, n * K)
         dil = _dilations(p, n, K)
         size = p ** (n * K)
@@ -157,7 +157,9 @@ class CylinderFunction:
         def fn(X, _values=values):
             return _values[sum(map(getitem, dil, map(_digits, X.coords)))]
 
-        return cls(p, n, K, codomain, fn, name, values=values)
+        f.values = values
+        f._fn = fn
+        return f
 
     @classmethod
     def from_callable(cls, p, n, K, codomain, fn, name="<callable>"):
@@ -417,7 +419,7 @@ def build_g(f: CylinderFunction) -> GFunction:
 def eval_g(G: GFunction, t) -> float:
     """Evaluate the extended function at a rational t in [0,1].
 
-    t lies in the closed interval or the gap that :func:`_eval_g_ratio`
+    t lies in the closed interval or the gap that :func:`eval_g_ratio`
     finds.  An interval's value is returned unchanged (the right interval's
     where two meet, n = 1); a gap's left end keeps the left interval's
     value, and inside it the neighbours are blended linearly in exact
@@ -428,23 +430,14 @@ def eval_g(G: GFunction, t) -> float:
     return eval_g_ratio(G, t.numerator, t.denominator)
 
 
-def eval_g_ratio(G: GFunction, num: int, den: int) -> float:
-    """:func:`eval_g` at t = num/den, for ints 0 <= num <= den; need not be reduced."""
-    if den < 1:
-        raise DomainViolation(f"denominator {den} is not positive")
-    if num < 0 or num > den:
-        raise DomainViolation(f"{Fraction(num, den)} is outside [0, 1]")
-    return _eval_g_ratio(G, num, den)
-
-
-# The most intervals one bisect step of _eval_g_ratio searches, so that every
+# The most intervals one bisect step of eval_g_ratio searches, so that every
 # cached numerator list stays small whatever the level.
 _STEP_INTERVALS = 1024
 
 
 @lru_cache(maxsize=8)
 def _steps(p, n, L):
-    """How :func:`_eval_g_ratio` reads the L base-q digits of t * q**L.
+    """How :func:`eval_g_ratio` reads the L base-q digits of t * q**L.
 
     From the top, one tuple per step of ``size`` digits with ``rest`` digits
     below it: (numerators of level size, q**rest, p**size, p**rest).  Steps
@@ -467,8 +460,8 @@ def _steps(p, n, L):
     return tuple(steps)
 
 
-def _eval_g_ratio(G, num, den):
-    """eval_g at t = num/den, for 0 <= num <= den; the ratio need not be reduced.
+def eval_g_ratio(G: GFunction, num: int, den: int) -> float:
+    """:func:`eval_g` at t = num/den, for ints 0 <= num <= den; need not be reduced.
 
     With t * q**L = m + r/den, the base-q digits of m are read from the top,
     a step of digits at a time.  Bisecting a step's digits d over the
@@ -477,6 +470,10 @@ def _eval_g_ratio(G, num, den):
     j: its left end keeps the left interval's value, and inside it the
     neighbours are blended.
     """
+    if den < 1:
+        raise DomainViolation(f"denominator {den} is not positive")
+    if num < 0 or num > den:
+        raise DomainViolation(f"{Fraction(num, den)} is outside [0, 1]")
     p, n, K, values = G.p, G.n, G.K, G.values
     L = n * K
     scale = (n * (p - 1) + 1) ** L

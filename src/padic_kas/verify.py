@@ -1,4 +1,4 @@
-"""Verification suites and data emission for the CLI.
+"""Verification suites.
 
 Each suite drives the library's own operations against independent digit-level
 oracles and yields its checks; :func:`run_verify` names, counts and records
@@ -24,7 +24,6 @@ from .cantor import (
     extract,
     format_cantor,
     gap_numerators,
-    interval_left_endpoints,
 )
 from .core import (
     PadicPoint,
@@ -45,7 +44,6 @@ from .superposition import (
     REAL,
     WEIGHTS_PAPER,
     WEIGHTS_PROOF,
-    _require_table_size,
     build_g,
     build_h,
     eval_g_ratio,
@@ -62,7 +60,6 @@ __all__ = [
     "RunConfig",
     "VerificationReport",
     "run_verify",
-    "emit_cantor_csv",
     "load_table_json",
     "resolve_function",
 ]
@@ -464,21 +461,3 @@ _SUITE_FNS = {
     "extension": _suite_extension,
 }
 SUITES = tuple(_SUITE_FNS)
-
-
-def emit_cantor_csv(p: int, n: int, L: int, path: str) -> int:
-    """Write ``index,rational,decimal`` rows for all level-L interval left endpoints.
-
-    Returns the number of data rows.  Refuses enumerations beyond the size
-    limit.
-    """
-    _require_table_size(p, L, "L")
-    import csv
-
-    lefts = interval_left_endpoints(p, n, L)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "rational", "decimal"])
-        for i, left in enumerate(lefts):
-            writer.writerow([i, f"{left.numerator}/{left.denominator}", repr(float(left))])
-    return len(lefts)

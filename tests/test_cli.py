@@ -1,5 +1,6 @@
 """Command-line dispatch: output formats and exit codes."""
 
+import csv
 import errno
 import json
 import os
@@ -89,6 +90,44 @@ class TestCodecCommands:
         assert code == 2
         assert out == []
         assert err == f"error: {message}\n"
+
+    def test_psi_reads_each_digit_once(self, capsys):
+        # One digit at n = 10**7: the off-stride check reads it, not n streams.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "psi", "--p", "2", "--n", "10000000", "--cantor", "10000001:1:0"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (0, ["2:1:0"], "")
+
+    @pytest.mark.parametrize(
+        "command, n, K, L, q",
+        [
+            ("phi", 10**5, 2, 10**5 + 1, 10**5 + 1),
+            ("phi", 10**9, 2, 10**9 + 1, 10**9 + 1),
+            ("encode", 9, 4300, 4300, 10),
+        ],
+        ids=["phi-n-1e5", "phi-n-1e9", "encode-K-4300"],
+    )
+    def test_unprintable_rational_is_refused_at_once(self, capsys, command, n, K, L, q):
+        # q**L has over 4300 decimal digits, the most Python prints from one int.
+        literal = f"2:{K}:" + ",".join(["1"] * K)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--p", "2", "--n", str(n), "--x", literal)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == []
+        assert err == (
+            f"error: {command} of {literal!r} has {L} base-{q} digits; its rational "
+            "would exceed the limit of 4300 digits on a printed integer\n"
+        )
+
+    def test_rational_of_4300_digits_is_printed(self, capsys):
+        # At q = 10 and L = 4299, the denominator 10**4299 has 4300 digits.
+        literal = "2:4299:" + ",".join(["1"] * 4299)
+        code, out, err = run(capsys, "encode", "--p", "2", "--n", "9", "--x", literal)
+        assert (code, err) == (0, "")
+        assert out == ["10:4299:" + ",".join(["9"] * 4299), f"{10**4299 - 1}/{10**4299}"]
 
     def test_malformed_cantor_literal_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "decode", "--p", "3", "--n", "2", "--cantor", "5:5")
@@ -603,6 +642,49 @@ class TestEmitCantorCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEmitCantorCsv:
+    def _rows(self, capsys, tmp_path, p, n, L, count):
+        """Run emit-cantor; check its report and the CSV header, and return the data rows."""
+        path = tmp_path / "c.csv"
+        code, out, _ = run(
+            capsys, "emit-cantor", "--p", str(p), "--n", str(n), "--L", str(L), "--out", str(path)
+        )
+        assert code == 0
+        assert out == [f"wrote {count} rows to {path}"]
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            assert header == ["index", "rational", "decimal"]
+            return list(reader)
+
+    def test_level_one(self, capsys, tmp_path):
+        rows = self._rows(capsys, tmp_path, 2, 2, 1, 2)
+        assert [r[1] for r in rows] == ["0/1", "2/3"]
+
+    def test_level_two(self, capsys, tmp_path):
+        rows = self._rows(capsys, tmp_path, 2, 2, 2, 4)
+        assert [r[1] for r in rows] == ["0/1", "2/9", "2/3", "8/9"]
+        assert [r[2] for r in rows] == [
+            repr(0.0),
+            repr(2 / 9),
+            repr(2 / 3),
+            repr(8 / 9),
+        ]
+
+    def test_arity_one_uniform_grid(self, capsys, tmp_path):
+        rows = self._rows(capsys, tmp_path, 3, 1, 1, 3)
+        assert [r[1] for r in rows] == ["0/1", "1/3", "2/3"]
+
+    def test_size_limit(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "emit-cantor", "--p", "2", "--n", "2", "--L", "21",
+            "--out", str(tmp_path / "c.csv"),
+        )
+        assert code == 2
+        assert out == []
+        assert err == "error: p**L = 2**21 exceeds the table limit 1000000\n"
+
+
 class TestModulusFlagMustMatchLiterals:
     @pytest.mark.parametrize(
         "argv",
@@ -680,8 +762,8 @@ PACKAGE_NAMES = (
     "BUILTIN_NAMES", "PADIC", "REAL", "WEIGHTS_PAPER", "WEIGHTS_PROOF", "CylinderFunction",
     "GFunction", "HFunction", "build_g", "build_h", "eval_g", "eval_g_ratio", "h_value",
     "superpose1", "superpose2", "table_fits",
-    "EXHAUSTIVE_LIMIT", "SUITES", "RunConfig", "VerificationReport", "emit_cantor_csv",
-    "load_table_json", "run_verify",
+    "EXHAUSTIVE_LIMIT", "SUITES", "RunConfig", "VerificationReport", "load_table_json",
+    "run_verify",
     "cantor", "core", "errors", "superposition", "verify", "__version__",
 )
 
@@ -769,14 +851,16 @@ class TestStartup:
             (["--help"], {"shutil"}),
             (["verify", "--p", "2", "--n", "2", "--K", "2", "--suite", "lemma1",
               "--samples", "10"], {"random"}),
+            (["emit-cantor", "--p", "3", "--n", "2", "--L", "4", "--out", "c.csv"], set()),
         ],
-        ids=["encode", "superpose", "verify-exhaustive", "help", "verify-sampled"],
+        ids=["encode", "superpose", "verify-exhaustive", "help", "verify-sampled", "emit-cantor"],
     )
     def test_only_help_measures_the_terminal_and_only_draws_load_random(
         self, tmp_path, argv, expected
     ):
         result = run_command_probe(argv, tmp_path)
         assert result["code"] == 0
+        assert result["verify"] == (argv[0] == "verify")
         # shutil imports bz2 and lzma where the interpreter has them.
         archivers = {"bz2", "lzma"} if "shutil" in expected else set()
         assert expected <= set(result["loaded"]) <= expected | archivers

@@ -167,6 +167,8 @@ class TestBuiltins:
              "modulus 4 is not prime"),
             (CylinderFunction, (2, 1, 1, "complex", lambda X: 0, "c"), CodomainMismatch,
              "unknown codomain 'complex'"),
+            (CylinderFunction.from_table, (2, 1, 1, "complex", {((0,),): 0.5, ((1,),): 1.5}),
+             CodomainMismatch, "unknown codomain 'complex'"),
         ],
     )
     def test_bad_header_is_named(self, build, args, error, message):
@@ -523,7 +525,7 @@ class TestEvalGBisect:
             d = rng.choice((4 * den, rng.randrange(1, 10**6)))
             t = Fraction(rng.randrange(d + 1), d)
             c = rng.randrange(2, 50)
-            got = superposition._eval_g_ratio(G, c * t.numerator, c * t.denominator)
+            got = eval_g_ratio(G, c * t.numerator, c * t.denominator)
             assert repr(got) == repr(eval_g(G, t)), (t, c)
 
     def test_public_ratio_entry_point_matches_eval_g(self):

@@ -1,6 +1,5 @@
-"""Verification harness: suites, reports, table ingestion, CSV emission."""
+"""Verification harness: suites, reports, table ingestion."""
 
-import csv
 import hashlib
 import inspect
 import json
@@ -23,7 +22,6 @@ from padic_kas import (
     TruncatedPadicInt,
     cantor_to_rational,
     combine,
-    emit_cantor_csv,
     format_cantor,
     format_padic,
     gap_numerators,
@@ -302,11 +300,11 @@ class TestBoundSuites:
     def test_extension_suite_catches_a_blend_that_keeps_the_left_value(self, monkeypatch):
         # The gap blend of eval_g patched to return the left neighbour's value.
         blend = "return float(Fraction(va) + (Fraction(vb) - Fraction(va)) * theta)"
-        source = inspect.getsource(superposition._eval_g_ratio)
+        source = inspect.getsource(superposition.eval_g_ratio)
         assert blend in source
         namespace = dict(vars(superposition))
         exec(source.replace(blend, "return va"), namespace)
-        monkeypatch.setattr(superposition, "_eval_g_ratio", namespace["_eval_g_ratio"])
+        monkeypatch.setattr(verify, "eval_g_ratio", namespace["eval_g_ratio"])
         report = run_verify(RunConfig(p=2, n=2, K=2, suite="extension"))
         assert not report.passed
         assert report.cases == 2**4 - 1
@@ -824,39 +822,3 @@ class TestTableLoading:
         with pytest.raises(TableFormatError, match="entry 1"):
             load_table_json(path)
 
-
-class TestEmitCantorCsv:
-    def _rows(self, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            assert header == ["index", "rational", "decimal"]
-            return list(reader)
-
-    def test_level_one(self, tmp_path):
-        path = str(tmp_path / "c.csv")
-        assert emit_cantor_csv(2, 2, 1, path) == 2
-        rows = self._rows(path)
-        assert [r[1] for r in rows] == ["0/1", "2/3"]
-
-    def test_level_two(self, tmp_path):
-        path = str(tmp_path / "c.csv")
-        assert emit_cantor_csv(2, 2, 2, path) == 4
-        rows = self._rows(path)
-        assert [r[1] for r in rows] == ["0/1", "2/9", "2/3", "8/9"]
-        assert [r[2] for r in rows] == [
-            repr(0.0),
-            repr(2 / 9),
-            repr(2 / 3),
-            repr(8 / 9),
-        ]
-
-    def test_arity_one_uniform_grid(self, tmp_path):
-        path = str(tmp_path / "c.csv")
-        assert emit_cantor_csv(3, 1, 1, path) == 3
-        rows = self._rows(path)
-        assert [r[1] for r in rows] == ["0/1", "1/3", "2/3"]
-
-    def test_size_limit(self, tmp_path):
-        with pytest.raises(SizeLimitExceeded):
-            emit_cantor_csv(2, 2, 21, str(tmp_path / "c.csv"))
