@@ -17,7 +17,14 @@ from fractions import Fraction
 from itertools import repeat
 from operator import floordiv, mod, mul
 
-from .core import TruncatedPadicInt, _check_params, _new, _split_literal, named_tuple
+from .core import (
+    TruncatedPadicInt,
+    _check_params,
+    _new,
+    _require_table_size,
+    _split_literal,
+    named_tuple,
+)
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -179,8 +186,10 @@ def interval_numerators(p: int, n: int, L: int) -> list:
 
     There are p**L intervals, each of width q**(-L); the numerators are the
     base-q numerals of L digits that are all multiples of n, and their
-    lexicographic order is their numeric order.
+    lexicographic order is their numeric order.  More than EXHAUSTIVE_LIMIT
+    intervals are refused before any is built.
     """
+    _require_table_size(p, L, "L")
     _check_params(p, n, L)
     q = n * (p - 1) + 1
     nums = [0]

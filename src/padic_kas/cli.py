@@ -321,9 +321,6 @@ def _cmd_verify(args):
 def _cmd_emit_cantor(args):
     import csv
 
-    from .superposition import _require_table_size
-
-    _require_table_size(args.p, args.L, "L")
     lefts = interval_left_endpoints(args.p, args.n, args.L)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatch,
     NonPrimeModulus,
     PrecisionMismatch,
+    SizeLimitExceeded,
 )
 
 __all__ = [
@@ -51,6 +52,30 @@ def _check_params(p, n, K):
         raise ArityMismatch(f"arity must be >= 1, got {n}")
     if K < 1:
         raise ValueError(f"level must be >= 1, got {K}")
+
+
+# The most entries a table may have; exhaustive enumeration stays within it.
+EXHAUSTIVE_LIMIT = 10**6
+
+
+def table_fits(p, L):
+    """Whether all p**L digit tuples fit under EXHAUSTIVE_LIMIT.
+
+    p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
+    without computing the power.
+    """
+    return L < EXHAUSTIVE_LIMIT.bit_length() and p**L <= EXHAUSTIVE_LIMIT
+
+
+def _require_table_size(p, L, exponent="(n*K)"):
+    """Raise unless a table over all p**L digit tuples fits under EXHAUSTIVE_LIMIT.
+
+    ``exponent`` names L in the message.
+    """
+    if not table_fits(p, L):
+        raise SizeLimitExceeded(
+            f"p**{exponent} = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
+        )
 
 
 # Miller-Rabin with the first 13 primes as bases decides primality exactly

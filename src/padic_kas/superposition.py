@@ -24,14 +24,24 @@ from itertools import product
 from operator import attrgetter, getitem
 
 from .cantor import interval_numerators
-from .core import PadicPoint, PadicScalar, TruncatedPadicInt, _check_params, _new, padic_add
+from .core import (
+    EXHAUSTIVE_LIMIT,
+    PadicPoint,
+    PadicScalar,
+    TruncatedPadicInt,
+    _check_params,
+    _new,
+    _require_table_size,
+    named_tuple,
+    padic_add,
+    table_fits,
+)
 from .errors import (
     CodomainMismatch,
     ConfigError,
     DimensionMismatch,
     DomainViolation,
     PrecisionMismatch,
-    SizeLimitExceeded,
     TableFormatError,
 )
 from .interleave import merge_order
@@ -64,9 +74,6 @@ WEIGHTS_PAPER = "paper"
 
 # Builtin selector names; K stands for a 1-based coordinate index.
 BUILTIN_NAMES = ("zero", "proj-K", "padic-sum", "norm-K", "norm-product", "digit0-K")
-
-# The most entries a table may have; exhaustive enumeration stays within it.
-EXHAUSTIVE_LIMIT = 10**6
 
 _digits = attrgetter("digits")
 
@@ -102,7 +109,7 @@ class CylinderFunction:
         )
 
     def __call__(self, X: PadicPoint):
-        _check_point(X, self)
+        _check_point(X, self.p, self.n, self.K)
         return self._fn(X)
 
     @classmethod
@@ -181,14 +188,13 @@ class CylinderFunction:
         return CylinderFunction(self.p, self.n, K_new, self.codomain, cut, f"{self.name}@K{K_new}")
 
 
-def _check_point(X, F):
-    """Raise unless X has the arity of F, n coordinates, each at F's p and K."""
-    n, coords = X
-    if n != F.n:
-        raise DimensionMismatch(f"point has n={n}, expected {F.n}")
+def _check_point(X, p, n, K):
+    """Raise unless X has arity n and n coordinates, each at p and K."""
+    arity, coords = X
+    if arity != n:
+        raise DimensionMismatch(f"point has n={arity}, expected {n}")
     if len(coords) != n:
         raise DimensionMismatch(f"point declares n={n} but has {len(coords)} coords")
-    p, K = F.p, F.K
     for c in coords:
         if c.p != p or c.K != K:
             raise PrecisionMismatch(f"coordinate ({c.p}, K={c.K}) does not match ({p}, K={K})")
@@ -310,6 +316,7 @@ def load_table_json(path: str) -> CylinderFunction:
     return read_table(path)
 
 
+@named_tuple("p n K values")
 class GFunction:
     """The univariate representative of a real-valued cylinder function.
 
@@ -319,14 +326,6 @@ class GFunction:
     takes the digits at positions k, k+n, ...  Gap i lies between intervals i
     and i+1 and blends their values linearly.
     """
-
-    __slots__ = ("p", "n", "K", "values")
-
-    def __init__(self, p, n, K, values):
-        self.p = p
-        self.n = n
-        self.K = K
-        self.values = values
 
     def __repr__(self):
         return f"GFunction(p={self.p}, n={self.n}, K={self.K}, intervals={len(self.values)})"
@@ -343,26 +342,6 @@ class GFunction:
     def table(self) -> dict:
         """Interval values keyed by their base-q digits, in index order; built on each access."""
         return dict(zip(product(range(0, self.q, self.n), repeat=self.L), self.values))
-
-
-def table_fits(p, L):
-    """Whether all p**L digit tuples fit under EXHAUSTIVE_LIMIT.
-
-    p**L > EXHAUSTIVE_LIMIT whenever 2**L does, so a huge L is refused
-    without computing the power.
-    """
-    return L < EXHAUSTIVE_LIMIT.bit_length() and p**L <= EXHAUSTIVE_LIMIT
-
-
-def _require_table_size(p, L, exponent="(n*K)"):
-    """Raise unless a table over all p**L digit tuples fits under EXHAUSTIVE_LIMIT.
-
-    ``exponent`` names L in the message.
-    """
-    if not table_fits(p, L):
-        raise SizeLimitExceeded(
-            f"p**{exponent} = {p}**{L} exceeds the table limit {EXHAUSTIVE_LIMIT}"
-        )
 
 
 @lru_cache(maxsize=16)
@@ -474,7 +453,7 @@ def eval_g_ratio(G: GFunction, num: int, den: int) -> float:
         raise DomainViolation(f"denominator {den} is not positive")
     if num < 0 or num > den:
         raise DomainViolation(f"{Fraction(num, den)} is outside [0, 1]")
-    p, n, K, values = G.p, G.n, G.K, G.values
+    p, n, K, values = G
     L = n * K
     scale = (n * (p - 1) + 1) ** L
     m, r = divmod(num * scale, den)
@@ -505,11 +484,12 @@ def superpose1(G: GFunction, X: PadicPoint) -> float:
     The packed value places n * (x_{k+1})_j at base-q position n*j+k, so it
     lies in the interval whose index has base-p digit (x_{k+1})_j there.
     """
-    _check_point(X, G)
-    dil = _dilations(G.p, G.n, G.K)
-    return G.values[sum(map(getitem, dil, map(_digits, X.coords)))]
+    p, n, K, values = G
+    _check_point(X, p, n, K)
+    return values[sum(map(getitem, _dilations(p, n, K), map(_digits, X.coords)))]
 
 
+@named_tuple("p n K weights table")
 class HFunction:
     """The univariate representative of a p-adic-valued cylinder function.
 
@@ -518,15 +498,6 @@ class HFunction:
     the domain is all of Z/p^(nK); with ``paper`` the variable is shifted by
     one digit and the domain is the multiples of p.
     """
-
-    __slots__ = ("p", "n", "K", "weights", "table")
-
-    def __init__(self, p, n, K, weights, table):
-        self.p = p
-        self.n = n
-        self.K = K
-        self.weights = weights
-        self.table = table
 
     def __repr__(self):
         return (
@@ -595,14 +566,14 @@ def superpose2(H: HFunction, X: PadicPoint) -> PadicScalar:
     The key permutes the coordinates' joined digits by the :func:`.interleave.merge_order`
     that ``interleave`` and ``cantor.combine`` share.
     """
-    _check_point(X, H)
-    n, K = H.n, H.K
+    p, n, K, weights, table = H
+    _check_point(X, p, n, K)
     cat = ()
     for c in X.coords:
         cat += c.digits
     if len(cat) != n * K:
         raise PrecisionMismatch(f"coordinates carry {len(cat)} digits, expected {n * K}")
     key = merge_order(n, K)(cat)
-    if H.weights == WEIGHTS_PAPER:
+    if weights == WEIGHTS_PAPER:
         key = (0,) + key
-    return H.table[key]
+    return table[key]

@@ -26,20 +26,22 @@ from .cantor import (
     gap_numerators,
 )
 from .core import (
+    EXHAUSTIVE_LIMIT,
     PadicPoint,
     PadicScalar,
     TruncatedPadicInt,
     _check_params,
     _new,
     format_padic,
+    named_tuple,
     padic_norm,
     padic_sub,
     point_distance,
+    table_fits,
 )
 from .errors import ConfigError, SizeLimitExceeded
 from .interleave import InterleavedPadic, deinterleave, interleave
 from .superposition import (
-    EXHAUSTIVE_LIMIT,
     PADIC,
     REAL,
     WEIGHTS_PAPER,
@@ -51,7 +53,6 @@ from .superposition import (
     resolve_function,
     superpose1,
     superpose2,
-    table_fits,
 )
 
 __all__ = [
@@ -73,15 +74,12 @@ LEMMA1_LEVEL = 8
 SAMPLE_DIGIT_LIMIT = 10**7
 
 
+@named_tuple("p n K suite function samples seed weights table")
 class RunConfig:
     """Parameters of one verification run."""
 
-    __slots__ = (
-        "p", "n", "K", "suite", "function", "samples", "seed", "weights", "table",
-    )
-
-    def __init__(
-        self,
+    def __new__(
+        cls,
         p: int,
         n: int,
         K: int,
@@ -104,20 +102,13 @@ class RunConfig:
             raise ConfigError(f"weights must be 'proof' or 'paper', got {weights!r}")
         if function is not None and table is not None:
             raise ConfigError("give a function or a table, not both")
-        self.p = p
-        self.n = n
-        self.K = K
-        self.suite = suite
-        self.function = function
-        self.samples = samples
-        self.seed = seed
-        self.weights = weights
-        self.table = table
+        return _new(cls, (p, n, K, suite, function, samples, seed, weights, table))
 
     def selected_suites(self):
         return SUITES if self.suite == "all" else (self.suite,)
 
 
+@named_tuple("suite params breakdown failures wall_time")
 class VerificationReport:
     """Outcome of a verification run.
 
@@ -126,15 +117,6 @@ class VerificationReport:
     the corresponding library call.  The serialized form excludes wall time:
     identical configurations must serialize byte-identically.
     """
-
-    __slots__ = ("suite", "params", "breakdown", "failures", "wall_time")
-
-    def __init__(self, suite, params, breakdown, failures, wall_time):
-        self.suite = suite
-        self.params = params
-        self.breakdown = breakdown
-        self.failures = failures
-        self.wall_time = wall_time
 
     @property
     def cases(self) -> int:

@@ -1,6 +1,7 @@
 """Codec, digit homeomorphisms, gap structure, and continuity witnesses."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -15,6 +16,7 @@ from padic_kas import (
     InvalidCantorDigit,
     NonPrimeModulus,
     PrecisionMismatch,
+    SizeLimitExceeded,
     TruncatedPadicInt,
     cantor_decode,
     cantor_encode,
@@ -284,6 +286,15 @@ class TestGaps:
             interval_numerators(2, n, L)
         assert exc.type is error
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("enumerate_level", [interval_numerators, gap_intervals])
+    def test_more_intervals_than_the_table_limit_are_refused_at_once(self, enumerate_level):
+        # 2**40 intervals; the list is never started.
+        start = time.perf_counter()
+        with pytest.raises(SizeLimitExceeded) as exc:
+            enumerate_level(2, 2, 40)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == "p**L = 2**40 exceeds the table limit 1000000"
 
 
 class TestContinuityWitnesses:

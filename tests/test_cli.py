@@ -787,14 +787,16 @@ print(json.dumps({
 
 
 # Run one command in a fresh interpreter without site, then report whether
-# it loaded the verification suites, and which of the modules that only help
-# output (shutil, and through it bz2 and lzma) or seeded draws (random) need.
+# it loaded the representatives and the verification suites, and which of the
+# modules that only help output (shutil, and through it bz2 and lzma) or
+# seeded draws (random) need.
 COMMAND_PROBE = """
 import json, sys
 import padic_kas.cli
 code = padic_kas.cli.main(sys.argv[1:])
 print(json.dumps({
     "code": code,
+    "superposition": "padic_kas.superposition" in sys.modules,
     "verify": "padic_kas.verify" in sys.modules,
     "loaded": [m for m in ("bz2", "lzma", "random", "shutil") if m in sys.modules],
 }))
@@ -839,7 +841,7 @@ class TestStartup:
         result = run_command_probe(
             [*argv, "--p", "3", "--n", "2", "--K", "1", "--table", table], tmp_path
         )
-        assert result == {"code": 0, "verify": False, "loaded": []}
+        assert result == {"code": 0, "superposition": True, "verify": False, "loaded": []}
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -860,6 +862,7 @@ class TestStartup:
     ):
         result = run_command_probe(argv, tmp_path)
         assert result["code"] == 0
+        assert result["superposition"] == (argv[0] in ("superpose", "verify"))
         assert result["verify"] == (argv[0] == "verify")
         # shutil imports bz2 and lzma where the interpreter has them.
         archivers = {"bz2", "lzma"} if "shutil" in expected else set()

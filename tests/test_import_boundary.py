@@ -1,10 +1,12 @@
-"""The runtime's import boundary, read from the source with ast: nothing here imports it.
+"""The runtime's import boundary and its class idiom, read from the source with ast.
 
-The package takes no dependency outside the standard library, and the
-benchmark imports nothing from the tests, so that either can change alone.
+Nothing here imports the package.  It takes no dependency outside the
+standard library, and the benchmark imports nothing from the tests, so that
+either can change alone.  Every record is a ``core.named_tuple``.
 """
 
 import ast
+import builtins
 import sys
 from pathlib import Path
 
@@ -42,6 +44,44 @@ def test_the_package_declares_no_dependency():
 @pytest.mark.parametrize("path", BENCH_SOURCES, ids=lambda path: path.name)
 def test_the_benchmark_imports_nothing_from_the_tests(path):
     assert not absolute_imports(path) & {"tests", "helpers", "conftest"}
+
+
+# The hand-written classes besides the exceptions: the one callable, whose
+# values from_table fills once, and the lazy seeded draw, which needs a
+# cached_property.
+CLASSES = {"superposition.py": {"CylinderFunction"}, "verify.py": {"_Draws"}}
+
+
+def is_named_tuple(node):
+    """Whether a class statement is decorated with ``named_tuple(...)``."""
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "named_tuple"
+        for d in node.decorator_list
+    )
+
+
+def is_exception(node, defined):
+    """Whether every base of a class is a builtin exception or a class in ``defined``."""
+    names = [base.id for base in node.bases if isinstance(base, ast.Name)]
+    return len(names) == len(node.bases) > 0 and all(
+        name in defined or issubclass(getattr(builtins, name, type), BaseException)
+        for name in names
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_record_is_a_named_tuple(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    defined = {node.name for node in classes}
+    other = [
+        node.name
+        for node in classes
+        if not is_named_tuple(node)
+        and node.name not in CLASSES.get(path.name, ())
+        and not (path.name == "errors.py" and is_exception(node, defined))
+    ]
+    assert not other, f"{path.name} hand-writes {other}"
 
 
 def test_every_source_is_read():

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import math
+import pickle
 import random
 import struct
 import time
@@ -129,6 +130,39 @@ class TestRunConfig:
     def test_all_expands_to_every_suite(self):
         cfg = RunConfig(p=2, n=2, K=1)
         assert len(cfg.selected_suites()) == 7
+
+    def test_pickles_to_an_equal_config(self):
+        cfg = RunConfig(2, 2, 2)
+        back = pickle.loads(pickle.dumps(cfg))
+        assert type(back) is RunConfig
+        assert back == cfg
+
+
+# Each record and one field of it; the first row's negative count would
+# otherwise pass a roundtrip run that counts -5 chains.
+RECORD_FIELDS = [
+    (lambda: RunConfig(2, 2, 10, suite="roundtrip"), "samples", -5),
+    (lambda: RunConfig(2, 2, 2), "suite", "nope"),
+    (lambda: run_verify(RunConfig(2, 2, 1, suite="roundtrip")), "failures", []),
+    (lambda: superposition.build_g(
+        superposition.CylinderFunction.from_builtin("norm-product", 2, 2, 1)), "values", []),
+    (lambda: superposition.build_h(
+        superposition.CylinderFunction.from_builtin("padic-sum", 2, 2, 1)), "weights", "paper"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,field,value",
+    RECORD_FIELDS,
+    ids=["RunConfig.samples", "RunConfig.suite", "VerificationReport.failures",
+         "GFunction.values", "HFunction.weights"],
+)
+def test_a_record_field_cannot_be_assigned(build, field, value):
+    record = build()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, value)
+    assert getattr(record, field) == before
 
 
 class TestRoundtripSuite:
